@@ -12,11 +12,18 @@
  *     over intervals predicts the per-tenant eviction totals to
  *     chi-square precision (the serving analogue of the simulator's
  *     Core-Selection validation).
+ *  3. The documents for policies H, F and Q at the fixture config
+ *     match the committed SERVE_fixture.json byte for byte at 1 and 8
+ *     threads. Regenerate after an intentional change with
+ *       PRISM_UPDATE_GOLDEN=1 build/tests/test_serve_determinism \
+ *           --gtest_filter=ServeGolden.*
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,4 +156,56 @@ TEST(ServeVictimMatch, TenantEvictionTotalsAreConsistent)
         sum += t.evictions;
     EXPECT_EQ(sum, result.evictions);
     EXPECT_EQ(result.intervals, result.intervalEvictions.size());
+}
+
+// --- Golden prism-serve-v1 documents ------------------------------
+
+#ifndef PRISM_SERVE_GOLDEN_DEFAULT
+#define PRISM_SERVE_GOLDEN_DEFAULT "tests/golden/SERVE_fixture.json"
+#endif
+
+namespace
+{
+
+/** The fixture's H, F and Q documents as one JSON array. */
+std::string
+policyDocuments(std::uint32_t threads)
+{
+    std::string out = "[\n";
+    for (const char policy : {'H', 'F', 'Q'}) {
+        ServeConfig config = fixtureConfig();
+        config.policy = policy;
+        std::string doc = runToJson(config, threads);
+        doc.pop_back(); // the document's trailing newline
+        out += doc;
+        out += policy == 'Q' ? "\n]\n" : ",\n";
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(ServeGolden, PolicyDocumentsMatchCommittedFixture)
+{
+    const char *path_env = std::getenv("PRISM_SERVE_GOLDEN");
+    const std::string path =
+        path_env ? path_env : PRISM_SERVE_GOLDEN_DEFAULT;
+
+    const std::string t1 = policyDocuments(1);
+    if (std::getenv("PRISM_UPDATE_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out) << "cannot write " << path;
+        out << t1;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden documents " << path
+                    << " (regenerate with PRISM_UPDATE_GOLDEN=1)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(t1, golden.str())
+        << "serve output drifted; if intentional regenerate with "
+           "PRISM_UPDATE_GOLDEN=1";
+    EXPECT_EQ(policyDocuments(8), golden.str());
 }
