@@ -53,8 +53,8 @@ struct Finding
 struct Verdict
 {
     std::string run;
-    /** CachePlane backend that produced the run ("sim", "store",
-     *  "way-mask"); "" for synthetic verdicts (exec, roll-up). */
+    /** Backend that produced the run ("sim", "store", "way-mask");
+     *  "" for synthetic verdicts (exec, roll-up). */
     std::string backend;
     FindingStatus overall = FindingStatus::Pass;
     std::vector<Finding> findings;

@@ -150,7 +150,7 @@ void
 ServeLiveObserver::onRoundEnd(const serve::ServeLiveState &state)
 {
     last_ = state;
-    if (exporter_.due(state.round)) {
+    if (exporter_.due(state.rounds)) {
         Status st = exporter_.flush(snapshot());
         if (exportStatus_.ok() && !st)
             exportStatus_ = st;
@@ -187,7 +187,7 @@ ServeLiveObserver::snapshot() const
     snap.policy = serve::policyName(config_.policy);
     snap.run = "serve/" + canonicalSchemeName(
                               std::string("PriSM-") + snap.policy);
-    snap.round = last_.round;
+    snap.round = last_.rounds;
     snap.ops = last_.ops;
     snap.intervals = last_.intervals;
 
@@ -247,7 +247,7 @@ ServeLiveObserver::snapshot() const
         }
     }
 
-    snap.metrics = last_.metrics;
+    snap.metrics = last_.metrics.get();
     return snap;
 }
 

@@ -34,7 +34,7 @@ struct RunSeries
     std::string scheme; ///< scheme name; "" when unknown
     std::uint32_t cores = 0;
 
-    /** CachePlane backend that produced the run: "sim" (simulated
+    /** Backend that produced the run: "sim" (simulated
      *  cache), "store" (serving store), "way-mask" (PriSM-WM); ""
      *  when the input predates the plane field. */
     std::string plane;

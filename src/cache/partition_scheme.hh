@@ -10,15 +10,14 @@
  * receives an IntervalSnapshot assembled by the cache and — when a
  * timing model is attached — augmented with per-core CPI statistics.
  *
- * A PartitionScheme is the simulator-side *backend* layer of the
- * CachePlane split (DESIGN.md §8, src/plane/cache_plane.hh): the
- * PriSM-driven schemes (PrismScheme, WayMaskScheme) additionally
- * implement CachePlane + ControllerHost, delegating the whole
- * interval recompute to the shared PrismController and keeping only
+ * The PriSM-driven schemes (PrismScheme, WayMaskScheme) are
+ * simulator backends of the shared control loop (DESIGN.md §8): they
+ * additionally implement ControllerHost, hand each IntervalSnapshot
+ * to the shared PrismController's recompute and keep only
  * enforcement — per-miss victim-core sampling or way-mask
- * quantisation — in their onIntervalEnd/chooseVictim hooks. Schemes
- * that predate the split (UCP, PIPP, Vantage, ...) implement this
- * interface alone.
+ * quantisation — in their onIntervalEnd/chooseVictim hooks. The
+ * other schemes (UCP, PIPP, Vantage, ...) implement this interface
+ * alone.
  */
 
 #ifndef PRISM_CACHE_PARTITION_SCHEME_HH
@@ -87,7 +86,11 @@ struct CoreIntervalStats
     }
 };
 
-/** Snapshot the allocation policies consume once per interval. */
+/**
+ * Snapshot the allocation policies consume once per interval. The
+ * serving store fills it too (serve::toIntervalSnapshot): there each
+ * "core" is a tenant and blocks count bytes.
+ */
 struct IntervalSnapshot
 {
     std::vector<CoreIntervalStats> cores;

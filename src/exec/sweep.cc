@@ -249,8 +249,8 @@ writeRunResultFields(JsonWriter &w, const RunResult &r)
     w.kv("clamped_eq1_inputs", r.clampedEq1Inputs);
     w.kv("dropped_recomputes", r.droppedRecomputes);
     w.kv("fallback_entries", r.fallbackEntries);
-    // CachePlane fields only for schemes that set them (PriSM-WM), so
-    // pre-plane documents stay byte-identical.
+    // Backend fields only for schemes that set them (PriSM-WM), so
+    // simulator-backend documents stay byte-identical.
     if (!r.plane.empty()) {
         w.kv("plane", r.plane);
         w.kv("way_quant_error", r.wayQuantError);

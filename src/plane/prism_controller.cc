@@ -3,18 +3,13 @@
 #include <cmath>
 
 #include "common/fixed_point.hh"
-#include "plane/cache_plane.hh"
 #include "common/prism_assert.hh"
 #include "common/types.hh"
+#include "prism/alloc_policy.hh"
+#include "telemetry/span.hh"
 
 namespace prism
 {
-
-const char *
-capacityUnitName(CapacityUnit unit)
-{
-    return unit == CapacityUnit::Bytes ? "bytes" : "blocks";
-}
 
 PrismController::PrismController(std::uint32_t domains,
                                  std::uint64_t seed,
@@ -47,6 +42,41 @@ PrismController::emitEvent(telemetry::EventKind kind, double value)
     if (recorder_)
         recorder_->addEvent(telemetry::TelemetryEvent{
             kind, interval_idx_, invalidCore, value});
+}
+
+bool
+PrismController::recompute(const IntervalSnapshot &snap,
+                           PrismAllocPolicy &policy,
+                           std::uint64_t capacity_units)
+{
+    PRISM_SPAN(recompute_span_);
+    panicIf(snap.numCores() != domains_,
+            "PrismController: snapshot domain count mismatch");
+
+    if (!beginRecompute())
+        return false;
+
+    // Shadow-skew faults perturb a copy: the caller's snapshot stays
+    // what the backend observed.
+    const IntervalSnapshot *input = &snap;
+    IntervalSnapshot perturbed;
+    if (injector_) {
+        perturbed = snap;
+        injector_->skewShadow(perturbed, interval_idx_);
+        input = &perturbed;
+    }
+
+    std::vector<double> targets = policy.computeTargets(*input);
+
+    std::vector<double> c(domains_), m(domains_);
+    for (std::uint32_t i = 0; i < domains_; ++i) {
+        c[i] = input->occupancyFraction(i);
+        m[i] = input->missFraction(i);
+    }
+    conditionInputs(c, m);
+    commitRecompute(std::move(targets), c, m, capacity_units,
+                    input->intervalMisses);
+    return true;
 }
 
 bool

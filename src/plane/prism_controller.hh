@@ -1,31 +1,17 @@
 /**
  * @file
  * PrismController: the one PriSM interval control loop, shared by
- * every backend (DESIGN.md, "The CachePlane substrate").
+ * every backend (DESIGN.md §8, "One control loop, three backends").
  *
  * Owns targets → hardened Equation 1 → AliasSampler →
- * degraded-mode fallback for a set of partition domains. The
- * backend adapter (PrismScheme over the simulator cache,
- * TenantArbiter over the serving store, WayMaskScheme over per-core
- * way masks) supplies per-interval observations and consumes the
- * resulting eviction distribution — either by sampling victim
- * domains through sampleVictim() or by quantising the targets into
- * an enforcement mechanism of its own.
- *
- * A recompute is three phases so the adapters can keep their exact
- * historical semantics (and byte-identical outputs):
- *
- *   1. beginRecompute()  — advance the interval, honour an injected
- *                          dropped-recompute fault (the previous
- *                          distribution then serves another
- *                          interval);
- *   2. conditionInputs() — apply stale-snapshot and poisoned-input
- *                          faults to the C/M vectors;
- *   3. commitRecompute() — Equation 1, K-bit quantisation,
- *                          quantisation-saturation faults, the
- *                          checked-mode audit/repair/fallback
- *                          ladder, degraded-interval accounting,
- *                          and the sampler rebuild.
+ * degraded-mode fallback for a set of partition domains. A backend
+ * adapter (PrismScheme over the simulator cache, TenantArbiter over
+ * the serving store, WayMaskScheme over per-core way masks) hands
+ * recompute() one IntervalSnapshot per interval together with its
+ * PrismAllocPolicy and consumes the resulting eviction
+ * distribution — either by sampling victim domains through
+ * sampleVictim() or by quantising the targets into an enforcement
+ * mechanism of its own.
  *
  * Degradation (docs/RELIABILITY.md): clamped Equation 1 inputs,
  * stale snapshots and repaired distributions mark the interval
@@ -48,9 +34,13 @@
 #include "plane/alias_sampler.hh"
 #include "plane/eq1.hh"
 #include "telemetry/interval_recorder.hh"
+#include "telemetry/metrics_registry.hh"
 
 namespace prism
 {
+
+struct IntervalSnapshot;
+class PrismAllocPolicy;
 
 /** Control-loop knobs shared by every backend. */
 struct ControllerParams
@@ -69,8 +59,6 @@ class PrismController
   public:
     PrismController(std::uint32_t domains, std::uint64_t seed,
                     const ControllerParams &params = {});
-
-    std::uint32_t domainCount() const { return domains_; }
 
     // --- the per-eviction hot path ---------------------------------
 
@@ -101,36 +89,32 @@ class PrismController
      */
     bool fallbackActive() const { return fallback_; }
 
-    // --- the three-phase interval recompute ------------------------
+    // --- the interval recompute ------------------------------------
 
     /**
-     * Open interval @p +1. @return false when an injected fault
-     * dropped the recompute — the caller must keep serving the
-     * previous distribution and skip the remaining phases.
+     * Close one interval. In order: advance the interval index and
+     * honour an injected dropped-recompute fault; skew a copy of
+     * @p snap's shadow histograms when a fault injector is attached;
+     * ask @p policy for targets; derive C_i and M_i from the
+     * snapshot and apply stale-snapshot and poisoned-input faults;
+     * then Equation 1 with N = @p capacity_units and
+     * W = snap.intervalMisses, K-bit quantisation,
+     * quantisation-saturation faults, the checked-mode
+     * audit/repair/fallback ladder, degraded-interval accounting and
+     * the sampler rebuild. Timed by the recompute span.
+     *
+     * @param snap One entry per domain; occupancy fractions are
+     *        occupancyBlocks / totalBlocks in the backend's capacity
+     *        unit (blocks, or bytes for the serving store).
+     * @return false when an injected fault dropped the recompute:
+     *         the previous distribution serves another interval.
      */
-    bool beginRecompute();
+    bool recompute(const IntervalSnapshot &snap,
+                   PrismAllocPolicy &policy,
+                   std::uint64_t capacity_units);
 
-    /** Interval index of the recompute in progress (1-based). */
+    /** Interval index of the last recompute (1-based). */
     std::uint64_t intervalIndex() const { return interval_idx_; }
-
-    /**
-     * Apply stale-snapshot and poisoned-input faults to the
-     * observation vectors in place. A no-op without an injector.
-     */
-    void conditionInputs(std::vector<double> &c,
-                         std::vector<double> &m);
-
-    /**
-     * Close the recompute: Equation 1 over (@p c, @p targets, @p m)
-     * with N = @p capacity_units and W = @p interval_misses, then
-     * quantisation, auditing and the sampler rebuild as documented
-     * on the class.
-     */
-    void commitRecompute(std::vector<double> targets,
-                         const std::vector<double> &c,
-                         const std::vector<double> &m,
-                         std::uint64_t capacity_units,
-                         std::uint64_t interval_misses);
 
     /**
      * Overwrite the eviction distribution, applying the configured
@@ -195,7 +179,27 @@ class PrismController
         recorder_ = recorder;
     }
 
+    /** Scoped-timer stats for recompute(); default = disabled. */
+    void setRecomputeSpan(const telemetry::SpanStats &span)
+    {
+        recompute_span_ = span;
+    }
+
   private:
+    /** Advance the interval; false when a fault dropped it. */
+    bool beginRecompute();
+
+    /** Apply stale-snapshot and poisoned-input faults in place. */
+    void conditionInputs(std::vector<double> &c,
+                         std::vector<double> &m);
+
+    /** Equation 1 through the sampler rebuild (see recompute()). */
+    void commitRecompute(std::vector<double> targets,
+                         const std::vector<double> &c,
+                         const std::vector<double> &m,
+                         std::uint64_t capacity_units,
+                         std::uint64_t interval_misses);
+
     void emitEvent(telemetry::EventKind kind, double value = 0.0);
 
     /**
@@ -232,6 +236,22 @@ class PrismController
 
     // --- telemetry ---
     telemetry::IntervalRecorder *recorder_ = nullptr; ///< non-owning
+    telemetry::SpanStats recompute_span_{};
+};
+
+/**
+ * Implemented by every backend that embeds a PrismController, so
+ * generic wiring (telemetry recording, fault injection, checked
+ * mode, result extraction) reaches the one shared control loop
+ * without knowing which backend it is talking to.
+ */
+class ControllerHost
+{
+  public:
+    virtual ~ControllerHost() = default;
+
+    virtual PrismController &controller() = 0;
+    virtual const PrismController &controller() const = 0;
 };
 
 } // namespace prism

@@ -17,59 +17,26 @@ WayMaskScheme::WayMaskScheme(std::uint32_t num_cores,
       controller_(num_cores, seed, params)
 {
     fatalIf(!policy_, "WayMaskScheme: null allocation policy");
-    occupancy_blocks_.assign(num_cores_, 0);
-    stand_alone_hits_.assign(num_cores_, 0.0);
 }
 
 void
 WayMaskScheme::onIntervalEnd(const IntervalSnapshot &snap)
 {
-    PRISM_SPAN(recompute_span_);
+    if (!controller_.recompute(snap, *policy_, snap.totalBlocks) ||
+        controller_.fallbackActive())
+        return;
 
-    if (controller_.beginRecompute()) {
-        const IntervalSnapshot *input = &snap;
-        IntervalSnapshot perturbed;
-        if (FaultInjector *injector = controller_.faultInjector()) {
-            perturbed = snap;
-            injector->skewShadow(perturbed,
-                                 controller_.intervalIndex());
-            input = &perturbed;
-        }
-
-        std::vector<double> targets = policy_->computeTargets(*input);
-
-        std::vector<double> c(num_cores_), m(num_cores_);
-        for (CoreId i = 0; i < num_cores_; ++i) {
-            c[i] = input->occupancyFraction(i);
-            m[i] = input->missFraction(i);
-        }
-        controller_.conditionInputs(c, m);
-        controller_.commitRecompute(std::move(targets), c, m,
-                                    input->totalBlocks,
-                                    input->intervalMisses);
-
-        if (!controller_.fallbackActive()) {
-            // Enforcement: quantise the real-valued targets onto the
-            // way masks and record how much expressiveness the
-            // quantisation cost.
-            const std::vector<double> &t = controller_.targets();
-            std::vector<std::uint32_t> alloc =
-                roundFractionsToWays(t, ways_);
-            double err = 0.0;
-            for (std::uint32_t i = 0; i < num_cores_; ++i)
-                err += std::abs(static_cast<double>(alloc[i]) -
-                                t[i] * static_cast<double>(ways_));
-            quant_err_.add(err / static_cast<double>(num_cores_));
-            setAllocation(std::move(alloc));
-        }
-    }
-
-    // Refresh the CachePlane view from the (unperturbed) snapshot.
-    capacity_blocks_ = snap.totalBlocks;
-    for (CoreId i = 0; i < num_cores_; ++i) {
-        occupancy_blocks_[i] = snap.cores[i].occupancyBlocks;
-        stand_alone_hits_[i] = snap.cores[i].standAloneHits();
-    }
+    // Enforcement: quantise the real-valued targets onto the way
+    // masks and record how much expressiveness the quantisation
+    // cost.
+    const std::vector<double> &t = controller_.targets();
+    std::vector<std::uint32_t> alloc = roundFractionsToWays(t, ways_);
+    double err = 0.0;
+    for (std::uint32_t i = 0; i < num_cores_; ++i)
+        err += std::abs(static_cast<double>(alloc[i]) -
+                        t[i] * static_cast<double>(ways_));
+    quant_err_.add(err / static_cast<double>(num_cores_));
+    setAllocation(std::move(alloc));
 }
 
 } // namespace prism

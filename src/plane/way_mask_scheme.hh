@@ -1,7 +1,7 @@
 /**
  * @file
- * WayMaskScheme: the CAT-style way-mask backend of the CachePlane
- * split (DESIGN.md) — scheme name "PriSM-WM".
+ * WayMaskScheme: the CAT-style way-mask backend of the shared
+ * control loop (DESIGN.md §8) — scheme name "PriSM-WM".
  *
  * Commodity hardware exposes no per-miss probabilistic victim hook;
  * what it does expose is per-core way masks (Intel CAT and
@@ -26,19 +26,15 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "plane/cache_plane.hh"
 #include "plane/prism_controller.hh"
 #include "policies/way_partition.hh"
 #include "prism/alloc_policy.hh"
-#include "telemetry/span.hh"
 
 namespace prism
 {
 
 /** PriSM control loop enforced through per-core way masks. */
-class WayMaskScheme : public WayPartitionScheme,
-                      public ControllerHost,
-                      public CachePlane
+class WayMaskScheme : public WayPartitionScheme, public ControllerHost
 {
   public:
     WayMaskScheme(std::uint32_t num_cores, std::uint32_t ways,
@@ -63,29 +59,7 @@ class WayMaskScheme : public WayPartitionScheme,
         return controller_;
     }
 
-    // --- CachePlane (domains = cores, unit = blocks) ---
-    const char *backendName() const override { return "way-mask"; }
-    CapacityUnit capacityUnit() const override
-    {
-        return CapacityUnit::Blocks;
-    }
-    std::uint32_t domainCount() const override { return num_cores_; }
-    std::uint64_t capacityUnits() const override
-    {
-        return capacity_blocks_;
-    }
-    std::uint64_t occupancyUnits(std::uint32_t core) const override
-    {
-        return occupancy_blocks_[core];
-    }
-    double standAloneHits(std::uint32_t core) const override
-    {
-        return stand_alone_hits_[core];
-    }
-
     // --- introspection ---
-    PrismAllocPolicy &policy() { return *policy_; }
-
     /**
      * Mean absolute gap |alloc_i − T_i · ways| in ways, averaged over
      * cores, one sample per recompute. A mean above one way means the
@@ -94,24 +68,11 @@ class WayMaskScheme : public WayPartitionScheme,
      */
     const RunningStat &wayQuantError() const { return quant_err_; }
 
-    /** Scoped-timer stats for onIntervalEnd(); default = disabled. */
-    void setRecomputeSpan(const telemetry::SpanStats &span)
-    {
-        recompute_span_ = span;
-    }
-
   private:
     std::unique_ptr<PrismAllocPolicy> policy_;
     PrismController controller_;
 
     RunningStat quant_err_; // |alloc - T*ways| per recompute
-
-    // --- CachePlane view of the last interval ---
-    std::uint64_t capacity_blocks_ = 0;
-    std::vector<std::uint64_t> occupancy_blocks_;
-    std::vector<double> stand_alone_hits_;
-
-    telemetry::SpanStats recompute_span_{};
 };
 
 } // namespace prism

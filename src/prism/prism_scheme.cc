@@ -2,7 +2,6 @@
 
 #include "cache/shared_cache.hh"
 #include "common/prism_assert.hh"
-#include "telemetry/span.hh"
 
 namespace prism
 {
@@ -10,14 +9,10 @@ namespace prism
 PrismScheme::PrismScheme(std::uint32_t num_cores,
                          std::unique_ptr<PrismAllocPolicy> policy,
                          std::uint64_t seed, const PrismParams &params)
-    : num_cores_(num_cores), policy_(std::move(policy)),
-      controller_(num_cores, seed,
-                  ControllerParams{.probBits = params.probBits})
+    : policy_(std::move(policy)), controller_(num_cores, seed, params)
 {
     fatalIf(!policy_, "PrismScheme: null allocation policy");
     allowed_.assign(256, 0);
-    occupancy_blocks_.assign(num_cores_, 0);
-    stand_alone_hits_.assign(num_cores_, 0.0);
 }
 
 std::string
@@ -39,7 +34,7 @@ PrismScheme::chooseVictim(SharedCache &cache, CoreId core, const SetView &set)
         return cache.repl().victim(set);
     }
 
-    const CoreId victim_core = sampleVictimCore();
+    const CoreId victim_core = controller_.sampleVictim();
     const CoreId *owner = set.blocks.owner;
     const double *e = controller_.evictionProbs().data();
 
@@ -101,37 +96,7 @@ PrismScheme::chooseVictim(SharedCache &cache, CoreId core, const SetView &set)
 void
 PrismScheme::onIntervalEnd(const IntervalSnapshot &snap)
 {
-    PRISM_SPAN(recompute_span_);
-
-    if (!controller_.beginRecompute())
-        return; // dropped recompute: previous E serves the interval
-
-    const IntervalSnapshot *input = &snap;
-    IntervalSnapshot perturbed;
-    if (FaultInjector *injector = controller_.faultInjector()) {
-        perturbed = snap;
-        injector->skewShadow(perturbed, controller_.intervalIndex());
-        input = &perturbed;
-    }
-
-    std::vector<double> targets = policy_->computeTargets(*input);
-
-    std::vector<double> c(num_cores_), m(num_cores_);
-    for (CoreId i = 0; i < num_cores_; ++i) {
-        c[i] = input->occupancyFraction(i);
-        m[i] = input->missFraction(i);
-    }
-    controller_.conditionInputs(c, m);
-    controller_.commitRecompute(std::move(targets), c, m,
-                                input->totalBlocks,
-                                input->intervalMisses);
-
-    // Refresh the CachePlane view from the (unperturbed) snapshot.
-    capacity_blocks_ = snap.totalBlocks;
-    for (CoreId i = 0; i < num_cores_; ++i) {
-        occupancy_blocks_[i] = snap.cores[i].occupancyBlocks;
-        stand_alone_hits_[i] = snap.cores[i].standAloneHits();
-    }
+    controller_.recompute(snap, *policy_, snap.totalBlocks);
 }
 
 } // namespace prism

@@ -1,7 +1,7 @@
 /**
  * @file
  * The PriSM probabilistic cache manager (paper §3.1) — the
- * *simulator backend* of the CachePlane split (DESIGN.md).
+ * simulator backend of the shared control loop (DESIGN.md §8).
  *
  * Replacement under PriSM is two-step: Core-Selection draws a victim
  * core from the eviction probability distribution E, then
@@ -14,51 +14,34 @@
  *
  * The interval control loop itself — targets → hardened Equation 1
  * → AliasSampler → degraded-mode fallback — lives in the shared
- * PrismController (src/plane/); this class is the thin adapter from
- * the PartitionScheme hooks to that controller plus the
- * cache-specific Victim-Identification above. The same controller
- * drives the serving store (serve::TenantArbiter) and the CAT-style
- * way-mask backend (WayMaskScheme).
+ * PrismController (src/plane/); this class hands it each interval's
+ * snapshot and keeps only the cache-specific Victim-Identification
+ * above. Robustness and telemetry wiring, the eviction distribution
+ * and its statistics are reached through controller(). The same
+ * controller drives the serving store (serve::TenantArbiter) and the
+ * CAT-style way-mask backend (WayMaskScheme).
  */
 
 #ifndef PRISM_PRISM_PRISM_SCHEME_HH
 #define PRISM_PRISM_PRISM_SCHEME_HH
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "cache/partition_scheme.hh"
-#include "common/stats.hh"
-#include "fault/fault_injector.hh"
-#include "plane/alias_sampler.hh"
-#include "plane/cache_plane.hh"
 #include "plane/prism_controller.hh"
 #include "prism/alloc_policy.hh"
-#include "telemetry/interval_recorder.hh"
-#include "telemetry/metrics_registry.hh"
 
 namespace prism
 {
 
-/** PriSM manager configuration. */
-struct PrismParams
-{
-    /**
-     * Bits used to represent each probability; 0 keeps the exact
-     * floating-point values (the paper's baseline; 6 bits is shown to
-     * be performance-neutral).
-     */
-    unsigned probBits = 0;
-};
+/** PriSM manager configuration: the shared control-loop knobs. */
+using PrismParams = ControllerParams;
 
 /** The PriSM management scheme. */
-class PrismScheme : public PartitionScheme,
-                    public ControllerHost,
-                    public CachePlane
+class PrismScheme : public PartitionScheme, public ControllerHost
 {
   public:
     PrismScheme(std::uint32_t num_cores,
@@ -78,75 +61,7 @@ class PrismScheme : public PartitionScheme,
         return controller_;
     }
 
-    // --- CachePlane (domains = cores, unit = blocks) ---
-    const char *backendName() const override { return "sim"; }
-    CapacityUnit capacityUnit() const override
-    {
-        return CapacityUnit::Blocks;
-    }
-    std::uint32_t domainCount() const override { return num_cores_; }
-    std::uint64_t capacityUnits() const override
-    {
-        return capacity_blocks_;
-    }
-    std::uint64_t occupancyUnits(std::uint32_t core) const override
-    {
-        return occupancy_blocks_[core];
-    }
-    double standAloneHits(std::uint32_t core) const override
-    {
-        return stand_alone_hits_[core];
-    }
-
     // --- introspection ---
-    /**
-     * Core-Selection: draw a victim core id according to E. Consumes
-     * exactly one uniform and maps it through the O(1) alias-family
-     * sampler — draw-for-draw identical to the seed inverse-CDF walk
-     * (see AliasSampler). Public so the statistical test suite can
-     * exercise the sampler directly against a known distribution
-     * (tests/test_core_selection_stats.cc).
-     */
-    CoreId
-    sampleVictimCore()
-    {
-        return static_cast<CoreId>(controller_.sampleVictim());
-    }
-
-    /** The Core-Selection sampler for the current E (test hook). */
-    const AliasSampler &sampler() const
-    {
-        return controller_.sampler();
-    }
-
-    /**
-     * Overwrite the eviction distribution, applying the configured
-     * K-bit quantisation exactly as a recompute would. Test hook for
-     * the Core-Selection statistics; @p e must have one entry per
-     * core and sum to ~1.
-     */
-    void
-    setEvictionProbs(std::span<const double> e)
-    {
-        controller_.setEvictionProbs(e);
-    }
-
-    void
-    setEvictionProbs(std::initializer_list<double> e)
-    {
-        setEvictionProbs(std::span<const double>(e.begin(), e.size()));
-    }
-
-    const std::vector<double> &evictionProbs() const
-    {
-        return controller_.evictionProbs();
-    }
-    const std::vector<double> &lastTargets() const
-    {
-        return controller_.targets();
-    }
-    PrismAllocPolicy &policy() { return *policy_; }
-
     /** Replacements where the selected core had no block in the set. */
     std::uint64_t victimlessReplacements() const { return victimless_; }
     std::uint64_t replacements() const { return replacements_; }
@@ -159,107 +74,7 @@ class PrismScheme : public PartitionScheme,
                              : 0.0;
     }
 
-    /** Times the distribution has been recomputed (Figure 11). */
-    std::uint64_t recomputes() const
-    {
-        return controller_.recomputes();
-    }
-
-    /** Mean/stddev tracker of core @p c's eviction probability. */
-    const RunningStat &probStat(CoreId c) const
-    {
-        return controller_.probStat(c);
-    }
-
-    // --- robustness: fault injection, auditing, degradation ---
-
-    /** Attach a fault injector (non-owning); null detaches. */
-    void setFaultInjector(FaultInjector *injector)
-    {
-        controller_.setFaultInjector(injector);
-    }
-
-    const FaultInjector *faultInjector() const
-    {
-        return controller_.faultInjector();
-    }
-
-    /** Audit the distribution each interval and recover in place. */
-    void setChecked(bool on) { controller_.setChecked(on); }
-    bool checked() const { return controller_.checked(); }
-
-    /**
-     * Intervals in which the scheme operated in a recovery regime:
-     * a recompute was dropped, inputs were stale or had to be
-     * clamped, or the distribution needed repair / fallback.
-     */
-    std::uint64_t degradedIntervals() const
-    {
-        return controller_.degradedIntervals();
-    }
-
-    /** Distribution invariant violations the auditor caught. */
-    std::uint64_t invariantViolations() const
-    {
-        return controller_.invariantViolations();
-    }
-
-    /** Recompute events lost to injected faults. */
-    std::uint64_t droppedRecomputes() const
-    {
-        return controller_.droppedRecomputes();
-    }
-
-    /** Intervals that started with fallback mode engaged. */
-    std::uint64_t fallbackEntries() const
-    {
-        return controller_.fallbackEntries();
-    }
-
-    /** Equation 1 inputs clamped for being NaN/Inf/out-of-range. */
-    std::uint64_t clampedInputs() const
-    {
-        return controller_.clampedInputs();
-    }
-
-    /** Recomputes decided by the Equation 1 distribution fallback
-     *  (no eviction demand; miss-share or uniform applied). */
-    std::uint64_t eq1Fallbacks() const
-    {
-        return controller_.eq1Fallbacks();
-    }
-
-    /**
-     * Whether the scheme is currently deferring to the underlying
-     * replacement policy (distribution was unrecoverable).
-     */
-    bool fallbackActive() const
-    {
-        return controller_.fallbackActive();
-    }
-
-    // --- telemetry ---
-
-    /**
-     * Attach an interval recorder (non-owning; null detaches): the
-     * controller emits instant events for degraded intervals,
-     * dropped recomputes, distribution repairs and fallback entries,
-     * making fault-injection runs visually debuggable in the trace.
-     */
-    void setRecorder(telemetry::IntervalRecorder *recorder)
-    {
-        controller_.setRecorder(recorder);
-    }
-
-    /** Scoped-timer stats for onIntervalEnd(); default = disabled. */
-    void
-    setRecomputeSpan(const telemetry::SpanStats &span)
-    {
-        recompute_span_ = span;
-    }
-
   private:
-    std::uint32_t num_cores_;
     std::unique_ptr<PrismAllocPolicy> policy_;
     PrismController controller_;
 
@@ -268,14 +83,6 @@ class PrismScheme : public PartitionScheme,
 
     std::uint64_t victimless_ = 0;
     std::uint64_t replacements_ = 0;
-
-    // --- CachePlane view of the last interval ---
-    std::uint64_t capacity_blocks_ = 0;
-    std::vector<std::uint64_t> occupancy_blocks_;
-    std::vector<double> stand_alone_hits_;
-
-    // --- telemetry ---
-    telemetry::SpanStats recompute_span_{};
 };
 
 } // namespace prism

@@ -27,7 +27,7 @@
 
 #include "common/rng.hh"
 #include "common/status.hh"
-#include "serve/zipf.hh"
+#include "common/zipf.hh"
 
 namespace prism::serve
 {

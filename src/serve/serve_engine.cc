@@ -121,7 +121,6 @@ ServeEngine::run()
     std::vector<std::uint64_t> base_misses(tenants, 0);
     std::vector<std::uint64_t> base_shadow(tenants, 0);
     std::vector<std::uint64_t> interval_evictions(tenants, 0);
-    std::uint64_t interval_idx = 0;
 
     const auto intervalMissCount = [&] {
         std::uint64_t total = 0;
@@ -130,42 +129,33 @@ ServeEngine::run()
         return total;
     };
 
-    // Live-plane observation state, refreshed from the sequential
-    // sections only, so observers see thread-count-independent data.
-    ServeLiveState live;
-    live.tenants.resize(tenants);
-    const auto fillLive = [&] {
-        live.round = result.rounds;
-        live.ops = result.ops;
-        live.gets = result.gets;
-        live.puts = result.puts;
-        live.intervals = interval_idx;
-        live.evictions = result.evictions;
-        live.victimlessEvictions = result.victimlessEvictions;
-        live.recomputes = arbiter.recomputes();
-        live.eq1Fallbacks = arbiter.eq1Fallbacks();
-        live.clampedEq1Inputs = arbiter.clampedInputs();
-        live.occupancyBytes = store.totalBytes();
-        live.objects = store.objectCount();
-        live.droppedSamples = result.recorder->droppedSamples();
-        live.droppedEvents = result.recorder->droppedEvents();
+    // Bring the store and controller readings in `result` up to
+    // date. Called from the sequential sections only, so observers
+    // and the caller see thread-count-independent state.
+    const PrismController &ctl = arbiter.controller();
+    const auto refresh = [&] {
+        result.recomputes = ctl.recomputes();
+        result.eq1Fallbacks = ctl.eq1Fallbacks();
+        result.clampedEq1Inputs = ctl.clampedInputs();
+        result.occupancyBytes = store.totalBytes();
+        result.objects = store.objectCount();
+        result.rehashes = store.rehashes();
+        result.droppedSamples = result.recorder->droppedSamples();
+        result.droppedEvents = result.recorder->droppedEvents();
         for (std::uint32_t t = 0; t < tenants; ++t) {
-            TenantTotals &tt = live.tenants[t];
+            TenantTotals &tt = result.tenants[t];
             tt.hits = store.hits(t);
             tt.misses = store.misses(t);
             tt.shadowHits = store.shadowHits(t);
-            tt.evictions = result.tenants[t].evictions;
             tt.occupancyBytes = store.tenantBytes(t);
         }
-        live.targets = arbiter.targets();
-        live.evProbs = arbiter.evictionProbs();
-        live.recorder = result.recorder.get();
-        live.metrics = result.metrics.get();
+        result.targets = ctl.targets();
+        result.evProbs = ctl.evictionProbs();
     };
 
     const auto closeInterval = [&](std::uint64_t misses_in_interval) {
         telemetry::IntervalSample sample;
-        sample.interval = ++interval_idx;
+        sample.interval = ++result.intervals;
         sample.missesInInterval = misses_in_interval;
         sample.occupancy.resize(tenants);
         sample.missFrac.resize(tenants);
@@ -175,8 +165,8 @@ ServeEngine::run()
         // one the recompute below produces. This aligns each row
         // with the evictions it actually steered, which is what the
         // victim-match statistics need (docs/SERVING.md).
-        sample.target = arbiter.targets();
-        sample.evProb = arbiter.evictionProbs();
+        sample.target = ctl.targets();
+        sample.evProb = ctl.evictionProbs();
 
         TenantSnapshot snap;
         snap.capacityBytes = config_.capacityBytes;
@@ -221,7 +211,7 @@ ServeEngine::run()
         arbiter.recompute(snap);
 
         if (config_.observer) {
-            fillLive();
+            refresh();
             // The recorded copy survives the move above; its row in
             // intervalEvictions is the one just pushed.
             config_.observer->onIntervalClosed(
@@ -229,7 +219,7 @@ ServeEngine::run()
                                         1),
                 std::span<const std::uint64_t>(
                     result.intervalEvictions.back()),
-                live);
+                result);
         }
     };
 
@@ -364,8 +354,8 @@ ServeEngine::run()
             closeInterval(interval_misses);
 
         if (config_.observer) {
-            fillLive();
-            config_.observer->onRoundEnd(live);
+            refresh();
+            config_.observer->onRoundEnd(result);
         }
     }
 
@@ -380,24 +370,9 @@ ServeEngine::run()
             std::chrono::duration<double>(Clock::now() - start)
                 .count();
 
-    result.intervals = interval_idx;
-    result.recomputes = arbiter.recomputes();
-    result.eq1Fallbacks = arbiter.eq1Fallbacks();
-    result.clampedEq1Inputs = arbiter.clampedInputs();
-    result.occupancyBytes = store.totalBytes();
-    result.objects = store.objectCount();
-    result.rehashes = store.rehashes();
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-        result.tenants[t].hits = store.hits(t);
-        result.tenants[t].misses = store.misses(t);
-        result.tenants[t].shadowHits = store.shadowHits(t);
-        result.tenants[t].occupancyBytes = store.tenantBytes(t);
-    }
-
-    if (config_.observer) {
-        fillLive();
-        config_.observer->onRunEnd(live);
-    }
+    refresh();
+    if (config_.observer)
+        config_.observer->onRunEnd(result);
     return result;
 }
 

@@ -115,13 +115,14 @@ struct TenantTotals
  */
 struct ServeLiveState
 {
-    std::uint64_t round = 0; ///< rounds completed (snapshot key)
+    std::uint64_t rounds = 0; ///< rounds completed (snapshot key)
     std::uint64_t ops = 0;
     std::uint64_t gets = 0;
     std::uint64_t puts = 0;
     std::uint64_t intervals = 0; ///< intervals closed so far
 
     std::uint64_t evictions = 0;
+    /** Sampled tenant held nothing; max-occupancy tenant evicted. */
     std::uint64_t victimlessEvictions = 0;
     std::uint64_t recomputes = 0;
     std::uint64_t eq1Fallbacks = 0;
@@ -140,11 +141,12 @@ struct ServeLiveState
     std::vector<double> targets;
     std::vector<double> evProbs;
 
-    /** The run's recorder (live observers may append events). */
-    telemetry::IntervalRecorder *recorder = nullptr;
+    /** Recorded interval series {C, T, E, M, hits, misses}; live
+     *  observers may append events. */
+    std::shared_ptr<telemetry::IntervalRecorder> recorder;
 
-    /** The run's registry (latency histograms on timing runs). */
-    const telemetry::MetricsRegistry *metrics = nullptr;
+    /** Per-tenant latency histograms etc. (timing runs only). */
+    std::shared_ptr<telemetry::MetricsRegistry> metrics;
 };
 
 /**
@@ -176,38 +178,15 @@ class ServeObserver
     virtual void onRunEnd(const ServeLiveState &state) { (void)state; }
 };
 
-/** The outcome of one serve run. */
-struct ServeResult
+/** The outcome of one serve run: the final live state plus the
+ *  whole-run series. */
+struct ServeResult : ServeLiveState
 {
-    std::vector<TenantTotals> tenants;
-
-    std::uint64_t ops = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t puts = 0;
-    std::uint64_t rounds = 0;
-    std::uint64_t intervals = 0;
-
-    std::uint64_t evictions = 0;
-    /** Sampled tenant held nothing; max-occupancy tenant evicted. */
-    std::uint64_t victimlessEvictions = 0;
-
-    std::uint64_t recomputes = 0;
-    std::uint64_t eq1Fallbacks = 0;
-    std::uint64_t clampedEq1Inputs = 0;
-
-    std::uint64_t occupancyBytes = 0;
-    std::uint64_t objects = 0;
     std::uint64_t rehashes = 0;
 
     /** Per-interval per-tenant evictions, parallel to the recorded
      *  interval samples (same truncation when the ring wraps). */
     std::vector<std::vector<std::uint64_t>> intervalEvictions;
-
-    /** Recorded interval series {C, T, E, M, hits, misses}. */
-    std::shared_ptr<telemetry::IntervalRecorder> recorder;
-
-    /** Per-tenant latency histograms etc. (timing runs only). */
-    std::shared_ptr<telemetry::MetricsRegistry> metrics;
 
     /** Wall-clock seconds spent serving; 0 without timing. */
     double wallSeconds = 0.0;

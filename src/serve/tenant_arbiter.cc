@@ -7,34 +7,6 @@
 namespace prism::serve
 {
 
-std::uint64_t
-TenantSnapshot::intervalMisses() const
-{
-    std::uint64_t total = 0;
-    for (const std::uint64_t m : misses)
-        total += m;
-    return total;
-}
-
-double
-TenantSnapshot::occupancyFraction(std::uint32_t tenant) const
-{
-    if (capacityBytes == 0)
-        return 0.0;
-    return static_cast<double>(occupancyBytes[tenant]) /
-           static_cast<double>(capacityBytes);
-}
-
-double
-TenantSnapshot::missFraction(std::uint32_t tenant) const
-{
-    const std::uint64_t total = intervalMisses();
-    if (total == 0)
-        return 0.0;
-    return static_cast<double>(misses[tenant]) /
-           static_cast<double>(total);
-}
-
 namespace
 {
 
@@ -80,18 +52,16 @@ floorsPlusProportional(std::vector<double> floors,
  * capacity would likely have converted). A small uniform floor keeps
  * idle tenants probeable so the loop can notice them warming up.
  */
-class HitMaxPolicy final : public TenantTargetPolicy
+class HitMaxPolicy final : public PrismAllocPolicy
 {
   public:
-    using TenantTargetPolicy::TenantTargetPolicy;
-
     std::string name() const override { return "HitMax"; }
 
     std::vector<double>
-    computeTargets(const TenantSnapshot &snap) override
+    computeTargets(const IntervalSnapshot &snap) override
     {
         static constexpr double kShadowWeight = 4.0;
-        const std::size_t n = snap.occupancyBytes.size();
+        const std::size_t n = snap.cores.size();
         double floor = kMinTargetFrac;
         if (floor * static_cast<double>(n) > 1.0)
             floor = 1.0 / static_cast<double>(n);
@@ -99,11 +69,17 @@ class HitMaxPolicy final : public TenantTargetPolicy
         std::vector<double> scores(n);
         for (std::size_t i = 0; i < n; ++i)
             scores[i] =
-                static_cast<double>(snap.hits[i]) +
-                kShadowWeight *
-                    static_cast<double>(snap.shadowHits[i]);
+                static_cast<double>(snap.cores[i].sharedHits) +
+                kShadowWeight * snap.cores[i].standAloneHits();
         return floorsPlusProportional(
             std::vector<double>(n, floor), scores);
+    }
+
+    unsigned
+    arithmeticOps(unsigned tenants) const override
+    {
+        // Two per score, four per tenant in floorsPlusProportional.
+        return 6 * tenants + 1;
     }
 
   private:
@@ -111,23 +87,36 @@ class HitMaxPolicy final : public TenantTargetPolicy
 };
 
 /** Weighted fair share: targets proportional to QoS weights. */
-class FairSharePolicy final : public TenantTargetPolicy
+class FairSharePolicy final : public PrismAllocPolicy
 {
   public:
-    using TenantTargetPolicy::TenantTargetPolicy;
+    explicit FairSharePolicy(std::vector<TenantQos> qos)
+        : qos_(std::move(qos))
+    {
+    }
 
     std::string name() const override { return "Fair"; }
 
     std::vector<double>
-    computeTargets(const TenantSnapshot &snap) override
+    computeTargets(const IntervalSnapshot &snap) override
     {
-        const std::size_t n = snap.occupancyBytes.size();
+        const std::size_t n = snap.cores.size();
         std::vector<double> weights(n, 1.0);
         for (std::size_t i = 0; i < n && i < qos_.size(); ++i)
             weights[i] = std::max(0.0, qos_[i].weight);
         return floorsPlusProportional(std::vector<double>(n, 0.0),
                                       weights);
     }
+
+    unsigned
+    arithmeticOps(unsigned tenants) const override
+    {
+        // Four per tenant in floorsPlusProportional.
+        return 4 * tenants + 1;
+    }
+
+  private:
+    std::vector<TenantQos> qos_;
 };
 
 /**
@@ -136,17 +125,20 @@ class FairSharePolicy final : public TenantTargetPolicy
  * tenants, so protected tenants can still grow past their floor when
  * the others leave capacity on the table.
  */
-class QosFloorPolicy final : public TenantTargetPolicy
+class QosFloorPolicy final : public PrismAllocPolicy
 {
   public:
-    using TenantTargetPolicy::TenantTargetPolicy;
+    explicit QosFloorPolicy(std::vector<TenantQos> qos)
+        : qos_(std::move(qos))
+    {
+    }
 
     std::string name() const override { return "QoS"; }
 
     std::vector<double>
-    computeTargets(const TenantSnapshot &snap) override
+    computeTargets(const IntervalSnapshot &snap) override
     {
-        const std::size_t n = snap.occupancyBytes.size();
+        const std::size_t n = snap.cores.size();
         std::vector<double> floors(n, 0.0);
         std::vector<double> weights(n, 1.0);
         for (std::size_t i = 0; i < n && i < qos_.size(); ++i) {
@@ -155,16 +147,44 @@ class QosFloorPolicy final : public TenantTargetPolicy
         }
         return floorsPlusProportional(std::move(floors), weights);
     }
+
+    unsigned
+    arithmeticOps(unsigned tenants) const override
+    {
+        // Four per tenant in floorsPlusProportional.
+        return 4 * tenants + 1;
+    }
+
+  private:
+    std::vector<TenantQos> qos_;
 };
 
 } // namespace
 
-std::unique_ptr<TenantTargetPolicy>
+IntervalSnapshot
+toIntervalSnapshot(const TenantSnapshot &snap)
+{
+    IntervalSnapshot out;
+    out.totalBlocks = snap.capacityBytes;
+    out.cores.resize(snap.occupancyBytes.size());
+    for (std::size_t t = 0; t < out.cores.size(); ++t) {
+        CoreIntervalStats &d = out.cores[t];
+        d.occupancyBlocks = snap.occupancyBytes[t];
+        d.sharedHits = snap.hits[t];
+        d.sharedMisses = snap.misses[t];
+        d.shadowHitsAtPosition.assign(
+            1, static_cast<double>(snap.shadowHits[t]));
+        out.intervalMisses += snap.misses[t];
+    }
+    return out;
+}
+
+std::unique_ptr<PrismAllocPolicy>
 makeTenantPolicy(char kind, std::vector<TenantQos> qos)
 {
     switch (kind) {
       case 'H':
-        return std::make_unique<HitMaxPolicy>(std::move(qos));
+        return std::make_unique<HitMaxPolicy>();
       case 'F':
         return std::make_unique<FairSharePolicy>(std::move(qos));
       case 'Q':
@@ -174,44 +194,27 @@ makeTenantPolicy(char kind, std::vector<TenantQos> qos)
     }
 }
 
-TenantArbiter::TenantArbiter(
-    std::uint32_t tenants,
-    std::unique_ptr<TenantTargetPolicy> policy, std::uint64_t seed,
-    Params params)
-    : tenants_(tenants), policy_(std::move(policy)), params_(params),
+TenantArbiter::TenantArbiter(std::uint32_t tenants,
+                             std::unique_ptr<PrismAllocPolicy> policy,
+                             std::uint64_t seed, Params)
+    : policy_(std::move(policy)),
       controller_(std::max<std::uint32_t>(1, tenants), seed)
 {
-    fatalIf(tenants_ == 0, "TenantArbiter: no tenants");
+    fatalIf(tenants == 0, "TenantArbiter: no tenants");
     fatalIf(!policy_, "TenantArbiter: null target policy");
 }
 
 void
 TenantArbiter::recompute(const TenantSnapshot &snap)
 {
-    panicIf(snap.occupancyBytes.size() != tenants_,
-            "TenantArbiter: snapshot tenant count mismatch");
-    std::vector<double> targets = policy_->computeTargets(snap);
-
-    std::vector<double> c(tenants_), m(tenants_);
-    for (std::uint32_t i = 0; i < tenants_; ++i) {
-        c[i] = snap.occupancyFraction(i);
-        m[i] = snap.missFraction(i);
-    }
-
     // The byte analogue of the paper's block counts: N objects of
     // average size fill the capacity, and the interval spanned the
     // realised number of misses (the final interval can run short).
     const std::uint64_t blocks_n =
         snap.capacityBytes / std::max<std::uint64_t>(
                                  1, snap.avgObjectBytes);
-    const std::uint64_t interval_w = snap.intervalMisses();
-
-    if (!controller_.beginRecompute())
-        return; // dropped recompute: previous E serves the interval
-    controller_.conditionInputs(c, m);
-    controller_.commitRecompute(std::move(targets), c, m,
-                                std::max<std::uint64_t>(1, blocks_n),
-                                interval_w);
+    controller_.recompute(toIntervalSnapshot(snap), *policy_,
+                          std::max<std::uint64_t>(1, blocks_n));
 }
 
 } // namespace prism::serve

@@ -13,14 +13,11 @@
  * Core-Selection uses, and the data plane evicts that tenant's LRU
  * object.
  *
- * The data plane is abstracted behind TenantPlane (occupancy query,
- * victim eviction, object statistics) so the arbiter and the target
- * policies never see hash tables or locks. TenantPlane is the
- * serving-store instantiation of the CachePlane substrate
- * (src/plane/cache_plane.hh, DESIGN.md): domains are tenants and
- * capacity counts bytes, and the arbiter is the thin adapter that
- * feeds byte-fraction observations into the one shared
- * PrismController — the exact control loop PrismScheme runs over
+ * The arbiter is the serving store's adapter onto the one shared
+ * PrismController (DESIGN.md §8): it maps each interval's byte
+ * observations onto an IntervalSnapshot whose domains are tenants,
+ * and the target policies are ordinary PrismAllocPolicy
+ * implementations — the exact control loop PrismScheme runs over
  * the simulated cache and WayMaskScheme runs over CAT-style way
  * masks.
  */
@@ -30,60 +27,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "plane/cache_plane.hh"
 #include "plane/prism_controller.hh"
+#include "prism/alloc_policy.hh"
 
 namespace prism::serve
 {
-
-/**
- * What the control loop may ask of the serving data plane: the
- * byte-unit CachePlane (domains = tenants) plus the store-specific
- * eviction primitive. Occupancy reads must be safe concurrently
- * with serving threads; evictOneFrom is called only from the
- * sequential eviction pass. The CachePlane half is satisfied by
- * adapters over the tenant-named accessors, so the diagnostics
- * layer can interrogate any backend uniformly.
- */
-class TenantPlane : public CachePlane
-{
-  public:
-    virtual std::uint32_t tenantCount() const = 0;
-
-    /** Bytes of live values tenant @p tenant holds right now. */
-    virtual std::uint64_t tenantBytes(std::uint32_t tenant) const = 0;
-
-    /** Bytes of live values across all tenants. */
-    virtual std::uint64_t totalBytes() const = 0;
-
-    /** Live objects across all tenants. */
-    virtual std::uint64_t objectCount() const = 0;
-
-    /**
-     * Evict @p tenant's least-recently-used object.
-     * @return Bytes freed; 0 when the tenant holds nothing (the
-     * caller then applies its victimless fallback).
-     */
-    virtual std::uint64_t evictOneFrom(std::uint32_t tenant) = 0;
-
-    // --- CachePlane (domains = tenants, unit = bytes) ---
-    const char *backendName() const override { return "store"; }
-    CapacityUnit capacityUnit() const override
-    {
-        return CapacityUnit::Bytes;
-    }
-    std::uint32_t domainCount() const override
-    {
-        return tenantCount();
-    }
-    std::uint64_t occupancyUnits(std::uint32_t tenant) const override
-    {
-        return tenantBytes(tenant);
-    }
-};
 
 /** Per-tenant quality-of-service inputs to the target policies. */
 struct TenantQos
@@ -108,42 +58,23 @@ struct TenantSnapshot
     std::vector<std::uint64_t> hits;       ///< this interval
     std::vector<std::uint64_t> misses;     ///< this interval
     std::vector<std::uint64_t> shadowHits; ///< ghost hits, interval
-
-    /** Misses across all tenants this interval (the realised W). */
-    std::uint64_t intervalMisses() const;
-
-    double occupancyFraction(std::uint32_t tenant) const;
-    double missFraction(std::uint32_t tenant) const;
 };
 
 /**
- * Maps one interval's snapshot to per-tenant occupancy targets
- * (fractions of capacity summing to 1) — the serving analogue of
- * PrismAllocPolicy.
+ * The controller's view of @p snap: one domain per tenant, occupancy
+ * in bytes over capacityBytes, interval hits and misses as shared
+ * hits and misses, ghost hits as a one-entry shadow histogram, and
+ * W = the interval's realised miss count.
  */
-class TenantTargetPolicy
-{
-  public:
-    explicit TenantTargetPolicy(std::vector<TenantQos> qos)
-        : qos_(std::move(qos))
-    {
-    }
-    virtual ~TenantTargetPolicy() = default;
-
-    virtual std::string name() const = 0;
-    virtual std::vector<double>
-    computeTargets(const TenantSnapshot &snap) = 0;
-
-  protected:
-    std::vector<TenantQos> qos_;
-};
+IntervalSnapshot toIntervalSnapshot(const TenantSnapshot &snap);
 
 /**
- * Build the policy selected by @p kind: 'H' hit-maximising (shadow
- * hits weigh reuse a tenant was denied), 'F' weighted fair share,
- * 'Q' QoS floors with weighted distribution of the remainder.
+ * Build the serving target policy selected by @p kind: 'H'
+ * hit-maximising (shadow hits weigh reuse a tenant was denied), 'F'
+ * weighted fair share, 'Q' QoS floors with weighted distribution of
+ * the remainder. Null for any other kind.
  */
-std::unique_ptr<TenantTargetPolicy>
+std::unique_ptr<PrismAllocPolicy>
 makeTenantPolicy(char kind, std::vector<TenantQos> qos);
 
 /** Control-loop knobs for TenantArbiter. */
@@ -157,42 +88,24 @@ struct ArbiterParams
  * The serving-plane adapter onto the shared PrismController
  * (src/plane/): maps tenant byte observations into the controller's
  * targets → Equation 1 → sampler loop, exactly as PrismScheme maps
- * core block observations. No Equation 1 / alias-sampling /
- * fallback code lives here any more.
+ * core block observations.
  */
 class TenantArbiter : public ControllerHost
 {
   public:
     using Params = ArbiterParams;
 
+    /** The engine closes intervals every @p params.intervalMisses
+     *  misses; the arbiter recomputes whenever it is asked to. */
     TenantArbiter(std::uint32_t tenants,
-                  std::unique_ptr<TenantTargetPolicy> policy,
+                  std::unique_ptr<PrismAllocPolicy> policy,
                   std::uint64_t seed, Params params = Params());
-
-    std::uint32_t tenantCount() const { return tenants_; }
-    std::uint64_t intervalMisses() const
-    {
-        return params_.intervalMisses;
-    }
-    std::string policyName() const { return policy_->name(); }
 
     // --- ControllerHost ---
     PrismController &controller() override { return controller_; }
     const PrismController &controller() const override
     {
         return controller_;
-    }
-
-    /** Targets in effect (uniform before the first recompute). */
-    const std::vector<double> &targets() const
-    {
-        return controller_.targets();
-    }
-
-    /** Eviction distribution in effect. */
-    const std::vector<double> &evictionProbs() const
-    {
-        return controller_.evictionProbs();
     }
 
     /**
@@ -207,10 +120,8 @@ class TenantArbiter : public ControllerHost
     }
 
     /**
-     * End-of-interval recompute: policy targets, then the
-     * controller's Equation 1 over byte fractions with
-     * N = capacity / avg-object-size and W = the interval's realised
-     * miss count, then the sampler rebuild.
+     * End-of-interval recompute: the controller's recompute over
+     * toIntervalSnapshot(@p snap) with N = capacity / avg-object-size.
      */
     void recompute(const TenantSnapshot &snap);
 
@@ -218,20 +129,9 @@ class TenantArbiter : public ControllerHost
     {
         return controller_.recomputes();
     }
-    std::uint64_t clampedInputs() const
-    {
-        return controller_.clampedInputs();
-    }
-    /** Equation 1 no-donor fallback activations (see eq1.hh). */
-    std::uint64_t eq1Fallbacks() const
-    {
-        return controller_.eq1Fallbacks();
-    }
 
   private:
-    std::uint32_t tenants_;
-    std::unique_ptr<TenantTargetPolicy> policy_;
-    Params params_;
+    std::unique_ptr<PrismAllocPolicy> policy_;
     PrismController controller_;
 };
 

@@ -265,10 +265,9 @@ Runner::run(const Workload &workload, SchemeKind kind,
     if (options.telemetry.enabled && options.telemetry.metrics) {
         telemetry::MetricsRegistry &m = *options.telemetry.metrics;
         system.llc().setAccessSpan(m.span("llc.access"));
-        if (prism_scheme)
-            prism_scheme->setRecomputeSpan(m.span("prism.recompute"));
-        else if (wm_scheme)
-            wm_scheme->setRecomputeSpan(m.span("prism.recompute"));
+        if (host)
+            host->controller().setRecomputeSpan(
+                m.span("prism.recompute"));
     }
     if (injector) {
         FaultInjector *inj = injector.get();
@@ -316,7 +315,7 @@ Runner::run(const Workload &workload, SchemeKind kind,
     if (prism_scheme)
         out.victimlessFraction = prism_scheme->victimlessFraction();
     if (wm_scheme) {
-        out.plane = wm_scheme->backendName();
+        out.plane = "way-mask";
         out.wayQuantError = wm_scheme->wayQuantError().mean();
     }
     return out;

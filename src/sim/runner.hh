@@ -133,9 +133,8 @@ struct RunResult
     std::uint64_t recomputes = 0;
 
     /**
-     * CachePlane backend id ("way-mask" for PriSM-WM); empty for the
-     * schemes that predate the plane split, whose JSON stays
-     * byte-identical.
+     * Backend id the doctor reports ("way-mask" for PriSM-WM); empty
+     * for the simulator backend, whose JSON stays byte-identical.
      */
     std::string plane;
     /** PriSM-WM: mean way-quantisation error |alloc - T*ways|. */

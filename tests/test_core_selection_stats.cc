@@ -59,7 +59,7 @@ sample(PrismScheme &scheme, std::uint32_t cores,
 {
     std::vector<std::uint64_t> counts(cores, 0);
     for (std::uint64_t i = 0; i < draws; ++i) {
-        const CoreId c = scheme.sampleVictimCore();
+        const CoreId c = scheme.controller().sampleVictim();
         EXPECT_LT(c, cores);
         ++counts[c];
     }
@@ -92,7 +92,7 @@ expectFits(PrismScheme &scheme, std::uint32_t cores)
 {
     // Expectation is the scheme's own (possibly quantised) E, which
     // is guaranteed normalised.
-    const std::vector<double> e = scheme.evictionProbs();
+    const std::vector<double> e = scheme.controller().evictionProbs();
     double sum = 0.0;
     for (const double p : e)
         sum += p;
@@ -118,8 +118,9 @@ TEST(CoreSelectionStats, SkewedQuad)
 {
     auto scheme = makeScheme(4, 999);
     const std::vector<double> e{0.6, 0.3, 0.08, 0.02};
-    scheme.setEvictionProbs(e);
-    EXPECT_EQ(scheme.evictionProbs(), e); // no quantisation configured
+    scheme.controller().setEvictionProbs(e);
+    // No quantisation configured.
+    EXPECT_EQ(scheme.controller().evictionProbs(), e);
     expectFits(scheme, 4);
 }
 
@@ -135,7 +136,7 @@ TEST(CoreSelectionStats, SkewedSixteen)
         mass *= 0.5;
     }
     e.back() += 1.0 - sum; // exact normalisation
-    scheme.setEvictionProbs(e);
+    scheme.controller().setEvictionProbs(e);
     expectFits(scheme, 16);
 }
 
@@ -145,22 +146,22 @@ TEST(CoreSelectionStats, Quantised6Bit)
     // distribution, not the requested one.
     auto scheme = makeScheme(4, 777, 6);
     const std::vector<double> requested{0.57, 0.31, 0.09, 0.03};
-    scheme.setEvictionProbs(
-        std::span<const double>(requested.data(), requested.size()));
+    scheme.controller().setEvictionProbs(requested);
     // Quantisation actually happened, through the same codec a
     // recompute uses (encode to 6-bit codes, renormalise).
     const FixedPointCodec codec(6);
-    EXPECT_EQ(scheme.evictionProbs(),
+    EXPECT_EQ(scheme.controller().evictionProbs(),
               codec.quantiseDistribution(requested));
-    EXPECT_NE(scheme.evictionProbs(), requested);
+    EXPECT_NE(scheme.controller().evictionProbs(), requested);
     expectFits(scheme, 4);
 }
 
 TEST(CoreSelectionStats, Quantised12Bit)
 {
     auto scheme = makeScheme(8, 31337, 12);
-    scheme.setEvictionProbs(
-        {0.35, 0.25, 0.15, 0.10, 0.08, 0.04, 0.02, 0.01});
+    scheme.controller().setEvictionProbs(
+        std::vector<double>{0.35, 0.25, 0.15, 0.10, 0.08, 0.04, 0.02,
+                            0.01});
     expectFits(scheme, 8);
 }
 
@@ -169,7 +170,8 @@ TEST(CoreSelectionStats, DegenerateCertainty)
     // E_i = 1: every draw must select core i, regardless of seed.
     for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
         auto scheme = makeScheme(4, seed);
-        scheme.setEvictionProbs({0.0, 0.0, 1.0, 0.0});
+        scheme.controller().setEvictionProbs(
+            std::vector<double>{0.0, 0.0, 1.0, 0.0});
         const auto counts = sample(scheme, 4, 10'000);
         EXPECT_EQ(counts[2], 10'000u);
     }
@@ -179,7 +181,8 @@ TEST(CoreSelectionStats, DegenerateCertaintyQuantised)
 {
     // The degenerate distribution survives quantisation exactly.
     auto scheme = makeScheme(4, 5, 6);
-    scheme.setEvictionProbs({0.0, 1.0, 0.0, 0.0});
+    scheme.controller().setEvictionProbs(
+        std::vector<double>{0.0, 1.0, 0.0, 0.0});
     const auto counts = sample(scheme, 4, 10'000);
     EXPECT_EQ(counts[1], 10'000u);
 }
@@ -187,13 +190,14 @@ TEST(CoreSelectionStats, DegenerateCertaintyQuantised)
 TEST(CoreSelectionStats, ZeroProbabilityNeverSampled)
 {
     auto scheme = makeScheme(4, 2024);
-    scheme.setEvictionProbs({0.5, 0.0, 0.5, 0.0});
+    scheme.controller().setEvictionProbs(
+        std::vector<double>{0.5, 0.0, 0.5, 0.0});
     const auto counts = sample(scheme, 4);
     EXPECT_EQ(counts[1], 0u);
     EXPECT_EQ(counts[3], 0u);
     unsigned df = 0;
     const double stat =
-        chi2(counts, scheme.evictionProbs(), &df);
+        chi2(counts, scheme.controller().evictionProbs(), &df);
     EXPECT_EQ(df, 1u);
     EXPECT_LT(stat, chi2Critical(df));
 }
@@ -204,14 +208,14 @@ TEST(CoreSelectionStats, SeedsGiveIndependentSequences)
     auto b = makeScheme(4, 11);
     std::vector<CoreId> sa, sb;
     for (int i = 0; i < 64; ++i) {
-        sa.push_back(a.sampleVictimCore());
-        sb.push_back(b.sampleVictimCore());
+        sa.push_back(a.controller().sampleVictim());
+        sb.push_back(b.controller().sampleVictim());
     }
     EXPECT_NE(sa, sb); // different seeds, different draw sequences
     auto a2 = makeScheme(4, 10);
     std::vector<CoreId> sa2;
     for (int i = 0; i < 64; ++i)
-        sa2.push_back(a2.sampleVictimCore());
+        sa2.push_back(a2.controller().sampleVictim());
     EXPECT_EQ(sa, sa2); // same seed reproduces exactly
 }
 
@@ -342,16 +346,16 @@ TEST(AliasEquivalence, IdenticalSeedStreams)
         Rng mirror(seed);
         std::vector<double> e{0.3, 0.2, 0.15, 0.1,
                               0.1, 0.08, 0.05, 0.02};
-        scheme.setEvictionProbs(e);
+        scheme.controller().setEvictionProbs(e);
         for (int i = 0; i < 5'000; ++i) {
-            ASSERT_EQ(scheme.sampleVictimCore(),
+            ASSERT_EQ(scheme.controller().sampleVictim(),
                       AliasSampler::inverseCdfReference(
                           e, mirror.uniform()));
             if (i == 2'500) {
                 // Mid-stream recompute: table rebuilds, stream
                 // continues without a discontinuity.
                 e = {0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0};
-                scheme.setEvictionProbs(e);
+                scheme.controller().setEvictionProbs(e);
             }
         }
     }
@@ -370,14 +374,17 @@ TEST(AliasEquivalence, SingleEligibleShortCircuit)
 
     // The scheme wires the same short circuit.
     auto scheme = makeScheme(4, 9);
-    scheme.setEvictionProbs({0.0, 0.0, 0.0, 1.0});
-    EXPECT_EQ(scheme.sampler().singleEligible(), 3u);
+    scheme.controller().setEvictionProbs(
+        std::vector<double>{0.0, 0.0, 0.0, 1.0});
+    EXPECT_EQ(scheme.controller().sampler().singleEligible(), 3u);
     for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(scheme.sampleVictimCore(), 3u);
+        EXPECT_EQ(scheme.controller().sampleVictim(), 3u);
 
     // Multi-eligible distributions must NOT short-circuit.
-    scheme.setEvictionProbs({0.5, 0.5, 0.0, 0.0});
-    EXPECT_EQ(scheme.sampler().singleEligible(), invalidCore);
+    scheme.controller().setEvictionProbs(
+        std::vector<double>{0.5, 0.5, 0.0, 0.0});
+    EXPECT_EQ(scheme.controller().sampler().singleEligible(),
+              invalidCore);
 }
 
 TEST(AliasEquivalence, ChiSquareThroughGuideTable)

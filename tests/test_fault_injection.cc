@@ -382,11 +382,12 @@ TEST(PrismSchemeRecovery, RepairsSaturatedDistribution)
     // the auditor must catch it and the repair renormalise in place
     // without entering fallback mode.
     PrismScheme scheme(2, std::make_unique<HitMaxPolicy>(), 1);
-    scheme.setChecked(true);
+    PrismController &ctl = scheme.controller();
+    ctl.setChecked(true);
 
     std::vector<FaultClause> clauses = parseOk("quant@1");
     FaultInjector injector(std::move(clauses), 9);
-    scheme.setFaultInjector(&injector);
+    ctl.setFaultInjector(&injector);
 
     IntervalSnapshot snap;
     snap.totalBlocks = 1024;
@@ -401,11 +402,11 @@ TEST(PrismSchemeRecovery, RepairsSaturatedDistribution)
     }
     scheme.onIntervalEnd(snap);
 
-    EXPECT_GT(scheme.invariantViolations(), 0u);
-    EXPECT_GT(scheme.degradedIntervals(), 0u);
+    EXPECT_GT(ctl.invariantViolations(), 0u);
+    EXPECT_GT(ctl.degradedIntervals(), 0u);
     double sum = 0.0;
-    for (double v : scheme.evictionProbs())
+    for (double v : ctl.evictionProbs())
         sum += v;
     EXPECT_NEAR(sum, 1.0, 1e-9);
-    EXPECT_FALSE(scheme.fallbackActive());
+    EXPECT_FALSE(ctl.fallbackActive());
 }

@@ -59,7 +59,7 @@ TEST(PrismScheme, NameIncludesPolicy)
 TEST(PrismScheme, InitialDistributionUniform)
 {
     PrismScheme s(4, std::make_unique<HitMaxPolicy>(), 1);
-    for (double e : s.evictionProbs())
+    for (double e : s.controller().evictionProbs())
         EXPECT_NEAR(e, 0.25, 1e-12);
 }
 
@@ -134,10 +134,11 @@ TEST(PrismScheme, RecomputesPerInterval)
     for (int i = 0; i < 50000; ++i)
         cache.access(static_cast<CoreId>(rng.below(2)),
                      makeBlockAddr(0, rng.below(65536)));
-    EXPECT_GE(s.recomputes(), 10u);
-    EXPECT_EQ(s.recomputes(), cache.intervals());
+    const PrismController &ctl = s.controller();
+    EXPECT_GE(ctl.recomputes(), 10u);
+    EXPECT_EQ(ctl.recomputes(), cache.intervals());
     // Probability statistics recorded once per recompute.
-    EXPECT_EQ(s.probStat(0).count(), s.recomputes());
+    EXPECT_EQ(ctl.probStat(0).count(), ctl.recomputes());
 }
 
 TEST(PrismScheme, QuantisedDistributionStillNormalised)
@@ -152,7 +153,7 @@ TEST(PrismScheme, QuantisedDistributionStillNormalised)
         cache.access(static_cast<CoreId>(rng.below(2)),
                      makeBlockAddr(0, rng.below(65536)));
     double sum = 0;
-    for (double e : s.evictionProbs())
+    for (double e : s.controller().evictionProbs())
         sum += e;
     EXPECT_NEAR(sum, 1.0, 1e-9);
 }

@@ -354,7 +354,8 @@ TEST(SoaEquivalence, PrismIntervalInvariantsHold)
             const Status own = auditor.checkOwnership(cache);
             EXPECT_TRUE(own.ok()) << own.message();
             const Status dist =
-                auditor.checkDistribution(scheme.evictionProbs());
+                auditor.checkDistribution(
+                    scheme.controller().evictionProbs());
             EXPECT_TRUE(dist.ok()) << dist.message();
         });
 

@@ -1,16 +1,15 @@
 /**
  * @file
  * WayMaskScheme ("PriSM-WM"): the CAT-style way-mask backend of the
- * CachePlane split.
+ * shared control loop.
  *
  * Covers the backend's whole contract: target-to-way quantisation
  * agrees with roundFractionsToWays and its recorded error statistic,
  * the inherited way-partition enforcement never lets a core exceed
  * its masked ways, the shared controller's victim sampler matches
- * the eviction distribution to chi-square precision, the CachePlane
- * view reflects the last snapshot, and a fig02-style mix run through
- * the real Runner earns a PASS from prism_doctor's convergence
- * checks.
+ * the eviction distribution to chi-square precision, and a
+ * fig02-style mix run through the real Runner earns a PASS from
+ * prism_doctor's convergence checks.
  */
 
 #include <cmath>
@@ -173,26 +172,7 @@ TEST(WayMaskSampler, VictimDrawsMatchDistributionChiSquare)
     EXPECT_LT(chi2, 16.27);
 }
 
-// --- the CachePlane view ------------------------------------------
-
-TEST(WayMaskPlane, ViewReflectsLastSnapshot)
-{
-    auto scheme = makeScheme2(8);
-    EXPECT_STREQ(scheme->backendName(), "way-mask");
-    EXPECT_EQ(scheme->capacityUnit(), CapacityUnit::Blocks);
-    EXPECT_EQ(scheme->domainCount(), 2u);
-    EXPECT_EQ(scheme->capacityUnits(), 0u); // before any interval
-
-    const IntervalSnapshot snap = skewedSnap2(8);
-    scheme->onIntervalEnd(snap);
-    EXPECT_EQ(scheme->capacityUnits(), snap.totalBlocks);
-    for (std::uint32_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(scheme->occupancyUnits(i),
-                  snap.cores[i].occupancyBlocks);
-        EXPECT_DOUBLE_EQ(scheme->standAloneHits(i),
-                         snap.cores[i].standAloneHits());
-    }
-}
+// --- registration ------------------------------------------------
 
 TEST(WayMaskPlane, SchemeNameRegistered)
 {

@@ -12,26 +12,18 @@
 
 #include <cmath>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
 #include "common/zipf.hh"
-#include "serve/zipf.hh"
 #include "workload/stack_dist_generator.hh"
 
 namespace prism
 {
 namespace
 {
-
-// The serving alias must be the shared type itself — not a copy —
-// so serve draw streams are the common ones by construction.
-static_assert(
-    std::is_same_v<serve::ZipfGenerator, ZipfGenerator>,
-    "serve::ZipfGenerator must alias the shared sampler");
 
 TEST(ZipfShared, DrawStreamMatchesRecordedConstants)
 {
