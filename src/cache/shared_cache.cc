@@ -253,10 +253,11 @@ SharedCache::access(CoreId core, Addr addr, bool is_store)
 void
 SharedCache::foldOccupancy()
 {
+    // Unsigned (wrapping) arithmetic: an injected occupancy fault
+    // can leave a counter near 2^63, where the signed sum would
+    // overflow. Wherever that sum fits, the result is the same.
     for (CoreId c = 0; c < config_.numCores; ++c) {
-        occupancy_[c] = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(occupancy_[c]) +
-            occ_delta_[c].v);
+        occupancy_[c] += static_cast<std::uint64_t>(occ_delta_[c].v);
         occ_delta_[c].v = 0;
     }
 }

@@ -210,9 +210,8 @@ class SharedCache
     std::uint64_t
     occupancy(CoreId core) const
     {
-        return static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(occupancy_[core]) +
-            occ_delta_[core].v);
+        return occupancy_[core] +
+               static_cast<std::uint64_t>(occ_delta_[core].v);
     }
 
     double
