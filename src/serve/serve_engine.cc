@@ -115,6 +115,7 @@ ServeEngine::run()
                    config_.batch);
     std::vector<std::vector<std::uint32_t>> by_shard(
         store.shardCount());
+    std::vector<std::uint64_t> unplanned_bytes(tenants, 0);
 
     // Interval state: counter snapshots taken at interval open.
     std::vector<std::uint64_t> base_hits(tenants, 0);
@@ -325,28 +326,41 @@ ServeEngine::run()
         result.ops += merged.size();
         ++result.rounds;
 
-        // --- (4) sequential capacity eviction ----------------------
-        while (store.totalBytes() > config_.capacityBytes) {
+        // --- (4) sequential victim plan ----------------------------
+        // Draw victims until occupancy net of the planned evictions
+        // fits the budget. Only the draws depend on global order.
+        std::uint64_t occupancy = store.totalBytes();
+        for (std::uint32_t t = 0; t < tenants; ++t)
+            unplanned_bytes[t] = store.tenantBytes(t);
+        while (occupancy > config_.capacityBytes) {
             std::uint32_t victim = arbiter.sampleVictimTenant();
-            std::uint64_t freed = store.evictOneFrom(victim);
+            std::uint64_t freed = store.planEviction(victim);
             if (freed == 0) {
-                // Sampled tenant holds nothing here: charge the
-                // fattest tenant instead (and count the miss-step).
+                // Sampled tenant holds nothing unplanned: charge
+                // the fattest tenant instead (and count the
+                // miss-step).
                 ++result.victimlessEvictions;
                 std::uint32_t fattest = 0;
                 for (std::uint32_t t = 1; t < tenants; ++t)
-                    if (store.tenantBytes(t) >
-                        store.tenantBytes(fattest))
+                    if (unplanned_bytes[t] > unplanned_bytes[fattest])
                         fattest = t;
                 victim = fattest;
-                freed = store.evictOneFrom(victim);
+                freed = store.planEviction(victim);
                 if (freed == 0)
                     break; // nothing anywhere to evict
             }
+            occupancy -= freed;
+            unplanned_bytes[victim] -= freed;
             ++result.evictions;
             ++interval_evictions[victim];
             ++result.tenants[victim].evictions;
         }
+
+        // --- (4b) parallel per-shard eviction ----------------------
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh)
+            if (store.plannedEvictions(sh) != 0)
+                pool.submit([&store, sh] { store.evictPlanned(sh); });
+        pool.wait();
 
         // --- (5) control loop at the interval boundary -------------
         const std::uint64_t interval_misses = intervalMissCount();

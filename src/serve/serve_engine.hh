@@ -8,21 +8,24 @@
  * (2) the batches are merged in a fixed round-robin interleave,
  * (3) the merged sequence is partitioned by shard and each shard's
  * slice is applied in merged order (shards fan out over the pool),
- * (4) after the barrier one sequential pass evicts — sampling the
- * victim tenant from the arbiter's Equation 1 distribution — until
- * occupancy fits the byte budget, and (5) once the interval's miss
+ * (4) after the barrier one sequential pass samples victim tenants
+ * from the arbiter's Equation 1 distribution and plans each
+ * eviction in the store, until occupancy net of the planned
+ * evictions fits the byte budget; then one pool task per shard
+ * executes that shard's plan, and (5) once the interval's miss
  * quota W is met, the control loop records the interval and
  * recomputes targets and distribution.
  *
  * Because streams (not threads) own the RNGs, the merge order is a
  * pure function of batch shape, shard routing is a pure function of
- * keys, per-shard application order follows the merge order, and
- * eviction + control run sequentially, every deterministic output
- * is byte-identical at any `--threads` for a fixed op budget. Wall
- *-clock metrics (latency histograms, throughput) are collected only
- * when timing is on and live in the JSON "timing" section, which —
- * like ".wall_ns" counters elsewhere — is excluded from the
- * deterministic document (docs/SERVING.md).
+ * keys, per-shard application order follows the merge order, the
+ * victim draws and the control loop run sequentially, and each
+ * shard's eviction task depends only on that shard's plan, every
+ * deterministic output is byte-identical at any `--threads` for a
+ * fixed op budget. Wall-clock metrics (latency histograms,
+ * throughput) are collected only when timing is on and live in the
+ * JSON "timing" section, which — like ".wall_ns" counters elsewhere
+ * — is excluded from the deterministic document (docs/SERVING.md).
  */
 
 #ifndef PRISM_SERVE_SERVE_ENGINE_HH
@@ -151,9 +154,10 @@ struct ServeLiveState
 
 /**
  * Hooks into the serve round pipeline. All callbacks fire on the
- * engine thread inside the sequential eviction/control sections —
- * implementations need no locking, may append telemetry events via
- * state.recorder, and must not block.
+ * engine thread inside the sequential control sections, after the
+ * round's eviction tasks have finished — implementations need no
+ * locking, may append telemetry events via state.recorder, and must
+ * not block.
  */
 class ServeObserver
 {

@@ -15,11 +15,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/zipf.hh"
+#include "exec/thread_pool.hh"
 #include "fault/fault_injector.hh"
 #include "plane/eq1.hh"
 #include "serve/load_gen.hh"
@@ -155,6 +157,177 @@ TEST(ShardedStore, GhostListKeepsKeysEvictedAgain)
     const auto r = store.get(0, 7);
     EXPECT_FALSE(r.hit);
     EXPECT_TRUE(r.shadowHit);
+}
+
+namespace
+{
+
+/** Reference model of one tenant in a single-shard store: its LRU
+ *  order, value sizes and the evictions its ghost list remembers. */
+struct RefTenant
+{
+    std::vector<std::uint64_t> lru; ///< front = most recent
+    std::map<std::uint64_t, std::uint32_t> bytes; ///< live objects
+    /** Ordinal of each key's latest eviction; dropped when the key
+     *  is put back. */
+    std::map<std::uint64_t, std::uint64_t> evictedAt;
+    std::uint64_t evictions = 0;
+
+    void
+    touch(std::uint64_t key)
+    {
+        const auto it = std::find(lru.begin(), lru.end(), key);
+        if (it != lru.end())
+            lru.erase(it);
+        lru.insert(lru.begin(), key);
+    }
+
+    bool
+    ghost(std::uint64_t key, std::uint32_t capacity) const
+    {
+        const auto it = evictedAt.find(key);
+        return it != evictedAt.end() &&
+               it->second + capacity >= evictions;
+    }
+};
+
+} // namespace
+
+TEST(ShardedStore, GhostMembershipMatchesLastEvictions)
+{
+    // A key is a ghost iff its latest eviction is among the tenant's
+    // last `capacity` evictions and it was not put back since. Tiny
+    // tables (8 and 16 cells) make probe chains wrap and exercise
+    // backward-shift deletion on every put of a ghost.
+    constexpr std::uint64_t kKeys = 24;
+    for (const std::uint32_t capacity : {3u, 5u}) {
+        StoreConfig cfg = singleShard(2);
+        cfg.ghostPerTenant = capacity;
+        ShardedStore store(cfg);
+        std::vector<RefTenant> ref(2);
+        Rng rng(deriveSeed(13, std::uint64_t{capacity}));
+
+        for (std::uint32_t op = 0; op < 100000; ++op) {
+            const auto t = static_cast<std::uint32_t>(rng.below(2));
+            RefTenant &r = ref[t];
+            const std::uint64_t key = rng.below(kKeys);
+            const double roll = rng.uniform();
+            if (roll < 0.4) {
+                const auto n =
+                    static_cast<std::uint32_t>(1 + rng.below(32));
+                store.put(t, key, bytesOf(n, 1));
+                r.touch(key);
+                r.bytes[key] = n;
+                r.evictedAt.erase(key);
+            } else if (roll < 0.7) {
+                const std::uint64_t freed = store.evictOneFrom(t);
+                if (r.lru.empty()) {
+                    ASSERT_EQ(freed, 0u);
+                } else {
+                    const std::uint64_t victim = r.lru.back();
+                    r.lru.pop_back();
+                    ASSERT_EQ(freed, r.bytes[victim]) << "op " << op;
+                    r.bytes.erase(victim);
+                    r.evictedAt[victim] = r.evictions++;
+                }
+            } else {
+                const bool live = r.bytes.count(key) != 0;
+                ASSERT_EQ(store.get(t, key).hit, live) << "op " << op;
+                if (live)
+                    r.touch(key);
+            }
+            // Probe every absent key (a miss leaves LRU order alone).
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                if (r.bytes.count(k) != 0)
+                    continue;
+                ASSERT_EQ(store.get(t, k).shadowHit, r.ghost(k, capacity))
+                    << "capacity " << capacity << " op " << op << " key "
+                    << k;
+            }
+        }
+    }
+}
+
+TEST(ShardedStoreParallelEvict, PlannedEvictionMatchesEvictOneFrom)
+{
+    // Twin stores see the same puts and gets; one evicts by planning
+    // a draw sequence and executing it per shard on a pool, the other
+    // by one evictOneFrom per draw. Small ghost rings wrap, and
+    // tenant 2 only writes in the first round, so it runs dry.
+    StoreConfig cfg;
+    cfg.shards = 8;
+    cfg.tenants = 3;
+    cfg.ghostPerTenant = 4;
+    ShardedStore planned(cfg);
+    ShardedStore sequential(cfg);
+    ThreadPool pool(4);
+    Rng rng(2012);
+    constexpr std::uint64_t kKeys = 400;
+    std::uint32_t dry_draws = 0;
+
+    const auto expectSameKeys = [&] {
+        for (std::uint32_t t = 0; t < cfg.tenants; ++t)
+            for (std::uint64_t key = 0; key < kKeys; ++key) {
+                const auto a = planned.get(t, key);
+                const auto b = sequential.get(t, key);
+                ASSERT_EQ(a.hit, b.hit) << t << "/" << key;
+                ASSERT_EQ(a.shadowHit, b.shadowHit) << t << "/" << key;
+            }
+    };
+
+    for (std::uint32_t round = 0; round < 12; ++round) {
+        for (std::uint32_t op = 0; op < 600; ++op) {
+            auto t = static_cast<std::uint32_t>(rng.below(3));
+            if (t == 2 && round > 0)
+                t = 0;
+            const std::uint64_t key = rng.below(kKeys);
+            if (rng.chance(0.7)) {
+                const auto value = bytesOf(
+                    static_cast<std::uint32_t>(1 + rng.below(64)), 7);
+                planned.put(t, key, value);
+                sequential.put(t, key, value);
+            } else {
+                ASSERT_EQ(planned.get(t, key).hit,
+                          sequential.get(t, key).hit);
+            }
+        }
+
+        std::vector<std::uint32_t> draws(250);
+        for (std::uint32_t &d : draws)
+            d = static_cast<std::uint32_t>(rng.below(3));
+        std::vector<std::uint64_t> plan_bytes;
+        for (const std::uint32_t d : draws)
+            plan_bytes.push_back(planned.planEviction(d));
+        for (std::uint32_t sh = 0; sh < planned.shardCount(); ++sh)
+            if (planned.plannedEvictions(sh) != 0)
+                pool.submit([&planned, sh] { planned.evictPlanned(sh); });
+        pool.wait();
+        for (std::uint32_t sh = 0; sh < planned.shardCount(); ++sh)
+            EXPECT_EQ(planned.plannedEvictions(sh), 0u);
+
+        for (std::size_t i = 0; i < draws.size(); ++i) {
+            ASSERT_EQ(plan_bytes[i], sequential.evictOneFrom(draws[i]))
+                << "round " << round << " draw " << i;
+            dry_draws += plan_bytes[i] == 0 ? 1 : 0;
+        }
+        for (std::uint32_t t = 0; t < cfg.tenants; ++t)
+            ASSERT_EQ(planned.tenantBytes(t), sequential.tenantBytes(t));
+        ASSERT_EQ(planned.totalBytes(), sequential.totalBytes());
+        ASSERT_EQ(planned.objectCount(), sequential.objectCount());
+        expectSameKeys();
+    }
+    EXPECT_GT(dry_draws, 0u) << "tenant 2 never ran dry";
+
+    // Later evictions drain both stores in the same order.
+    for (std::uint32_t t = 0; t < cfg.tenants; ++t)
+        for (;;) {
+            const std::uint64_t freed = planned.evictOneFrom(t);
+            ASSERT_EQ(freed, sequential.evictOneFrom(t));
+            if (freed == 0)
+                break;
+        }
+    EXPECT_EQ(planned.objectCount(), 0u);
+    expectSameKeys();
 }
 
 TEST(ShardedStore, RehashPreservesObjectsAndRecency)
