@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
-# CI gate: configure, build, run the test suite, then hold the bench
-# fixture against the committed golden through the prism_doctor
-# regression comparator, and finish with a perfbench smoke run. Exit
-# 0 means the tree is healthy AND the fixture sweep's metrics sit
-# within tolerance of the golden.
+# CI gate: configure, build, run the test suite, rerun the serve and
+# fault-injection suites under ThreadSanitizer and ASan + UBSan, then
+# hold the bench fixture against the committed golden through the
+# prism_doctor regression comparator, and finish with a perfbench
+# smoke run. Exit 0 means the tree is healthy AND the fixture sweep's
+# metrics sit within tolerance of the golden.
 #
 # Usage: tools/ci_gate.sh [build-dir]
+#        (sanitizer trees go to <build-dir>-tsan and <build-dir>-asan)
 #
 # Environment:
 #   CMAKE_ARGS   extra arguments for the configure step
@@ -28,6 +30,26 @@ cmake --build "$build" -j
 echo "== test =="
 # shellcheck disable=SC2086
 (cd "$build" && ctest --output-on-failure ${CTEST_ARGS:-})
+
+echo "== sanitizer gate =="
+# ThreadSanitizer over the serving plane: the serve runs in these
+# suites reach the per-shard parallel eviction stage at up to 8
+# threads, after the sequential victim plan. Then ASan + UBSan over
+# the fault-injection suite (injected occupancy faults push counters
+# to the edge of their range) and the serve units, halting on the
+# first undefined-behaviour report. Each tree builds only what it
+# runs; they sit next to the main build directory.
+tsan_build="$build-tsan"
+# shellcheck disable=SC2086
+cmake -B "$tsan_build" -S "$repo" -DPRISM_TSAN=ON ${CMAKE_ARGS:-}
+cmake --build "$tsan_build" -j --target test_serve test_serve_determinism
+(cd "$tsan_build" && ctest -L tsan -R serve --output-on-failure)
+asan_build="$build-asan"
+# shellcheck disable=SC2086
+cmake -B "$asan_build" -S "$repo" -DPRISM_SANITIZE=ON ${CMAKE_ARGS:-}
+cmake --build "$asan_build" -j --target test_fault_injection test_serve
+UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/test_fault_injection"
+UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/test_serve"
 
 echo "== bench regression gate =="
 out=$(mktemp -d)
