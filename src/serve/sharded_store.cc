@@ -17,6 +17,34 @@ ceilPow2(std::uint64_t v)
     return std::bit_ceil(std::max<std::uint64_t>(1, v));
 }
 
+/**
+ * Size class of a buffer for @p bytes >= 1: 16-byte steps up to
+ * 128 B (classes 1-8), then 8 classes per power of two, so a buffer
+ * reserved at its class capacity is at most 1/8 slack.
+ */
+std::size_t
+valueClass(std::size_t bytes)
+{
+    if (bytes <= 128)
+        return (bytes + 15) / 16;
+    // bytes is in (2^octave, 2^(octave + 1)], cut into 8 steps.
+    const auto octave =
+        static_cast<std::size_t>(std::bit_width(bytes - 1)) - 1;
+    const std::size_t base = std::size_t{1} << octave;
+    return 8 * (octave - 6) + ((bytes - 1 - base) >> (octave - 3)) + 1;
+}
+
+/** The largest value class @p cls holds. */
+std::size_t
+classCapacity(std::size_t cls)
+{
+    if (cls <= 8)
+        return 16 * cls;
+    const std::size_t octave = (cls - 1) / 8 + 6;
+    const std::size_t step = (cls - 1) % 8 + 1;
+    return (std::size_t{1} << octave) + (step << (octave - 3));
+}
+
 } // namespace
 
 std::uint32_t
@@ -96,6 +124,8 @@ ShardedStore::ShardedStore(const StoreConfig &config)
       ghost_per_tenant_(config.ghostPerTenant)
 {
     fatalIf(tenants_ == 0, "ShardedStore: no tenants");
+    fatalIf(config.shards > (1u << 31),
+            "ShardedStore: more than 2^31 shards");
     const auto num_shards = static_cast<std::uint32_t>(
         ceilPow2(std::max<std::uint32_t>(1, config.shards)));
     shard_shift_ =
@@ -260,7 +290,7 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
                 static_cast<std::uint64_t>(slot.value.size());
             const auto new_bytes =
                 static_cast<std::uint64_t>(value.size());
-            slot.value.assign(value.begin(), value.end());
+            storeValue(shard, slot.value, value);
             shard.bytes[tenant] += new_bytes - old_bytes;
             tenant_bytes_[tenant].fetch_add(
                 new_bytes - old_bytes, std::memory_order_relaxed);
@@ -276,7 +306,7 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
     slot.key = key;
     slot.tenant = tenant;
     slot.state = SlotState::Full;
-    slot.value.assign(value.begin(), value.end());
+    storeValue(shard, slot.value, value);
     ++shard.used;
     linkFront(shard, static_cast<std::uint32_t>(target));
 
@@ -289,6 +319,25 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
 
     // A key coming back to life stops being a ghost.
     shard.ghost[tenant].erase(key);
+}
+
+void
+ShardedStore::storeValue(Shard &shard, Buffer &dst,
+                         std::span<const std::uint8_t> value)
+{
+    // A buffer that already fits is kept. A replaced buffer is
+    // freed: only evicted buffers become spares.
+    if (value.size() > dst.capacity()) {
+        const std::size_t cls = valueClass(value.size());
+        if (cls < shard.spares.size() && !shard.spares[cls].empty()) {
+            dst = std::move(shard.spares[cls].back());
+            shard.spares[cls].pop_back();
+        } else {
+            dst.clear();
+            dst.reserve(classCapacity(cls));
+        }
+    }
+    dst.assign(value.begin(), value.end());
 }
 
 ShardedStore::GetResult
@@ -374,6 +423,19 @@ ShardedStore::planVictim(std::uint32_t tenant)
 }
 
 std::uint64_t
+ShardedStore::spareBytes() const
+{
+    std::uint64_t bytes = 0;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        for (const std::vector<Buffer> &spares : shard.spares)
+            for (const Buffer &buffer : spares)
+                bytes += buffer.capacity();
+    }
+    return bytes;
+}
+
+std::uint64_t
 ShardedStore::planEviction(std::uint32_t tenant)
 {
     return planVictim(tenant).bytes;
@@ -397,6 +459,10 @@ ShardedStore::evictPlanned(std::uint32_t shard_idx)
             "ShardedStore::evictPlanned: bad shard");
     Shard &shard = shards_[shard_idx];
     std::lock_guard<std::mutex> lock(shard.mutex);
+    // Free the spares of the shard's previous pass that no put took,
+    // so the pool never outgrows one pass of evictions.
+    for (std::vector<Buffer> &spares : shard.spares)
+        spares.clear();
     std::uint64_t total_freed = 0;
     std::uint64_t evicted = 0;
     for (std::uint32_t t = 0; t < tenants_; ++t) {
@@ -413,8 +479,12 @@ ShardedStore::evictPlanned(std::uint32_t shard_idx)
             unlink(shard, tail);
             shard.ghost[t].push(slot.key, ghost_per_tenant_);
             slot.state = SlotState::Tombstone;
-            slot.value.clear();
-            slot.value.shrink_to_fit();
+            if (slot.value.capacity() != 0) {
+                const std::size_t cls = valueClass(slot.value.capacity());
+                if (cls >= shard.spares.size())
+                    shard.spares.resize(cls + 1);
+                shard.spares[cls].push_back(std::move(slot.value));
+            }
         }
         panicIf(freed != cell.bytes,
                 "ShardedStore::evictPlanned: shard changed between "
