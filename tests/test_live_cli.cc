@@ -178,3 +178,26 @@ TEST(LiveCli, MetricsEveryWithoutAnOutputIsAUsageError)
         run(serveBin() + " --ops 8192 --metrics-every 4");
     EXPECT_EQ(serve_code, 2) << serve_out;
 }
+
+TEST(LiveCli, OutOfRangeCountsAreUsageErrors)
+{
+    // Each of these once narrowed or wrapped silently: the 32-bit
+    // counts became 1, the shard count rounded up to 2^32 and
+    // narrowed to no shards, and the byte budget wrapped to 0.
+    const std::string dir = tempDir();
+    const std::string json = dir + "/serve.json";
+    for (const char *flag :
+         {"--threads 4294967297", "--streams 4294967297",
+          "--batch 4294967297", "--shards 2147483649",
+          "--capacity-mb 17592186044416"}) {
+        const auto [code, out] = run(serveBin() +
+                                     " --ops 8192 --quiet --json " +
+                                     json + " " + flag);
+        EXPECT_EQ(code, 2) << flag << ": " << out;
+        EXPECT_NE(out.find("must be in [1, "), std::string::npos)
+            << flag << ": " << out;
+        EXPECT_FALSE(std::ifstream(json).is_open())
+            << flag << " wrote a document";
+    }
+    run("rm -rf " + dir);
+}

@@ -25,6 +25,7 @@
  * 2 usage or input error.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -119,6 +120,17 @@ parseU64Arg(const std::string &arg, const std::string &value)
     }
 }
 
+/** parseU64Arg, then a usage error unless the value is in [1, max]. */
+std::uint64_t
+parseCountArg(const std::string &arg, const std::string &value,
+              std::uint64_t max)
+{
+    const std::uint64_t v = parseU64Arg(arg, value);
+    if (v == 0 || v > max)
+        cliError(arg + " must be in [1, " + std::to_string(max) + "]");
+    return v;
+}
+
 double
 parseDoubleArg(const std::string &arg, const std::string &value)
 {
@@ -154,9 +166,7 @@ main(int argc, char **argv)
             usage(std::cout);
             return 0;
         } else if (arg == "--tenants") {
-            num_tenants = parseU64Arg(arg, value());
-            if (num_tenants == 0 || num_tenants > 256)
-                cliError("--tenants must be in [1, 256]");
+            num_tenants = parseCountArg(arg, value(), 256);
         } else if (arg == "--tenant") {
             tenant_specs.push_back(value());
         } else if (arg == "--keys") {
@@ -169,29 +179,21 @@ main(int argc, char **argv)
                 cliError("--zipf must be >= 0");
         } else if (arg == "--threads") {
             config.threads = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.threads == 0)
-                cliError("--threads must be positive");
+                parseCountArg(arg, value(), UINT32_MAX));
         } else if (arg == "--streams") {
             config.streams = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.streams == 0)
-                cliError("--streams must be positive");
+                parseCountArg(arg, value(), UINT32_MAX));
         } else if (arg == "--shards") {
+            // The store rounds the count up to a power of two, which
+            // must still fit its 32-bit shard count.
             config.shards = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.shards == 0)
-                cliError("--shards must be positive");
+                parseCountArg(arg, value(), 1u << 31));
         } else if (arg == "--batch") {
             config.batch = static_cast<std::uint32_t>(
-                parseU64Arg(arg, value()));
-            if (config.batch == 0)
-                cliError("--batch must be positive");
+                parseCountArg(arg, value(), UINT32_MAX));
         } else if (arg == "--capacity-mb") {
-            const std::uint64_t mb = parseU64Arg(arg, value());
-            if (mb == 0)
-                cliError("--capacity-mb must be positive");
-            config.capacityBytes = mb << 20;
+            config.capacityBytes =
+                parseCountArg(arg, value(), UINT64_MAX >> 20) << 20;
         } else if (arg == "--interval") {
             config.intervalMisses = parseU64Arg(arg, value());
             if (config.intervalMisses == 0)
