@@ -1,13 +1,22 @@
 /**
  * @file
- * Fixed-size thread pool for the sweep engine.
+ * Fixed-size thread pool for the sweep and serve engines.
  *
  * Deliberately work-stealing-free: a single FIFO queue feeds a fixed
- * set of workers. Sweep jobs are coarse (whole simulations, tens of
- * milliseconds to minutes), so queue contention is negligible and
- * the simple design keeps execution order irrelevant to results —
- * every job writes only its own pre-allocated result slot and draws
- * randomness only from its own key-derived seed.
+ * set of workers. It has two users:
+ *  - the sweep engine submits coarse jobs (whole simulations, tens of
+ *    milliseconds to minutes);
+ *  - the serve engine submits short tasks in stages, up to 144 a
+ *    round at its defaults (16 batch fills, 64 shard applies and 64
+ *    shard evictions), with wait() as the barrier between stages.
+ *
+ * One FIFO queue is correct for both because execution order never
+ * reaches a result: every job writes only its own pre-allocated slot
+ * (a sweep result, a stream's batch, one shard) and draws randomness
+ * only from its own seed, so which worker runs a job, and when, does
+ * not matter. It is also cheap enough for both: a job costs one lock
+ * acquisition at each end of the queue, while even the short serve
+ * tasks run for about a tenth of a millisecond or more each.
  */
 
 #ifndef PRISM_EXEC_THREAD_POOL_HH
