@@ -7,16 +7,19 @@
 #include "figures_impl.hh"
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "analysis/doctor.hh"
 #include "analysis/series.hh"
 #include "common/atomic_file.hh"
+#include "common/cancel.hh"
 #include "exec/checkpoint.hh"
 #include "telemetry/exporter.hh"
 #include "telemetry/trace_writer.hh"
@@ -754,6 +757,42 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
     return rc;
 }
 
+bool
+parseRetriesArg(const std::string &value, unsigned &retries)
+{
+    // Digits only: strtoull would wrap "-1" to a huge count. On
+    // overflow it returns ULLONG_MAX, which the bound rejects.
+    const bool digits = !value.empty() &&
+                        value.find_first_not_of("0123456789") ==
+                            std::string::npos;
+    const unsigned long long n =
+        digits ? std::strtoull(value.c_str(), nullptr, 10) : 0;
+    if (!digits || n >= std::numeric_limits<unsigned>::max()) {
+        std::cerr << "--retries must be an integer in [0, "
+                  << std::numeric_limits<unsigned>::max() - 1
+                  << "], got '" << value << "'\n";
+        return false;
+    }
+    retries = static_cast<unsigned>(n);
+    return true;
+}
+
+bool
+parseDeadlineArg(const std::string &value, double &seconds)
+{
+    char *end = nullptr;
+    const double s = std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size() ||
+        !deadlineAfter(std::chrono::steady_clock::now(), s)) {
+        std::cerr << "--deadline must be a finite number of seconds "
+                     "within the clock's range, got '"
+                  << value << "'\n";
+        return false;
+    }
+    seconds = s;
+    return true;
+}
+
 int
 figureMain(const char *figure_id, int argc, char **argv)
 {
@@ -844,10 +883,11 @@ figureMain(const char *figure_id, int argc, char **argv)
         } else if (arg == "--no-supervise") {
             options.supervise = false;
         } else if (arg == "--retries") {
-            options.retries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            if (!parseRetriesArg(value(), options.retries))
+                return 2;
         } else if (arg == "--deadline") {
-            options.deadlineSeconds = std::atof(value().c_str());
+            if (!parseDeadlineArg(value(), options.deadlineSeconds))
+                return 2;
         } else if (arg == "--chaos") {
             options.chaosSpec = value();
         } else if (arg == "--chaos-seed") {

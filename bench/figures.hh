@@ -166,6 +166,20 @@ int runFigure(const Figure &fig, const FigureRunOptions &options);
 /** Shared main() implementation for the per-figure shim binaries. */
 int figureMain(const char *figure_id, int argc, char **argv);
 
+/**
+ * Parse a --retries value: a non-negative integer below UINT_MAX, so
+ * the attempt budget (retries + 1) cannot wrap.
+ * @return false after naming the bad value on stderr.
+ */
+bool parseRetriesArg(const std::string &value, unsigned &retries);
+
+/**
+ * Parse a --deadline value: seconds (<= 0: no watchdog) that are
+ * finite and within the steady clock's range.
+ * @return false after naming the bad value on stderr.
+ */
+bool parseDeadlineArg(const std::string &value, double &seconds);
+
 } // namespace prism::bench
 
 /** Define a shim binary's main() running one registry figure. */

@@ -18,11 +18,37 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 namespace prism
 {
+
+/**
+ * The steady_clock time point @p seconds after @p from (@p from
+ * itself when @p seconds <= 0), or nullopt when the clock cannot hold
+ * it: @p seconds is not finite, or the sum would overrun the clock's
+ * 64-bit nanosecond count. Converting such a double with
+ * duration_cast is undefined behaviour (on x86 it yields a time point
+ * in the past). The limit keeps a second of slack, so rounding in the
+ * conversion cannot cross it.
+ */
+inline std::optional<std::chrono::steady_clock::time_point>
+deadlineAfter(std::chrono::steady_clock::time_point from,
+              double seconds)
+{
+    using Clock = std::chrono::steady_clock;
+    const std::chrono::duration<double> room =
+        Clock::time_point::max() - from - std::chrono::seconds(1);
+    if (!std::isfinite(seconds) || seconds >= room.count())
+        return std::nullopt;
+    if (seconds <= 0.0)
+        return from;
+    return from + std::chrono::duration_cast<Clock::duration>(
+                      std::chrono::duration<double>(seconds));
+}
 
 /** Thrown by cancellation poll points to unwind a cancelled run. */
 class CancelledError : public std::runtime_error
@@ -46,19 +72,21 @@ class CancelToken
   public:
     CancelToken() = default;
 
-    /** Arm a deadline @p seconds from now (<= 0 disarms). */
+    /**
+     * Arm a deadline @p seconds from now. A value that is not
+     * positive, or one beyond the clock's range, disarms it.
+     */
     void
     setDeadline(double seconds)
     {
-        if (seconds > 0.0) {
-            deadline_ = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<
-                            std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(seconds));
-            has_deadline_ = true;
-        } else {
-            has_deadline_ = false;
-        }
+        const auto deadline =
+            seconds > 0.0
+                ? deadlineAfter(std::chrono::steady_clock::now(),
+                                seconds)
+                : std::nullopt;
+        has_deadline_ = deadline.has_value();
+        if (deadline)
+            deadline_ = *deadline;
     }
 
     /** Observe @p stop (non-owning; null detaches) as a stop source. */

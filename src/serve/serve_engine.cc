@@ -4,6 +4,7 @@
 #include <chrono>
 #include <ostream>
 
+#include "common/cancel.hh"
 #include "common/json.hh"
 #include "common/prism_assert.hh"
 #include "exec/thread_pool.hh"
@@ -50,6 +51,10 @@ ServeEngine::ServeEngine(const ServeConfig &config) : config_(config)
     fatalIf(config_.capacityBytes == 0, "ServeEngine: no capacity");
     fatalIf(!makeTenantPolicy(config_.policy, {}),
             "ServeEngine: unknown policy (use H, F or Q)");
+    fatalIf(config_.opBudget == 0 &&
+                !deadlineAfter(Clock::now(), config_.seconds),
+            "ServeEngine: seconds must be finite and within the "
+            "clock's range");
 }
 
 ServeResult
@@ -226,9 +231,10 @@ ServeEngine::run()
 
     const bool budgeted = config_.opBudget > 0;
     const auto start = Clock::now();
-    const auto deadline =
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(config_.seconds));
+    // Only a wall-clock run reads it; the constructor vetted its
+    // seconds.
+    const auto deadline = deadlineAfter(start, config_.seconds)
+                              .value_or(Clock::time_point::max());
 
     for (;;) {
         if (config_.stopFlag &&
@@ -293,25 +299,30 @@ ServeEngine::run()
                 ++result.gets;
         }
 
-        for (const std::vector<std::uint32_t> &list : by_shard) {
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh) {
+            const std::vector<std::uint32_t> &list = by_shard[sh];
             if (list.empty())
                 continue;
-            pool.submit([&store, &merged, &list, &latency,
+            pool.submit([&store, &merged, &list, &latency, sh,
                          timing = config_.timing] {
                 std::vector<std::uint8_t> buf;
+                // One lock hold for the whole slice: locking per op
+                // costs each op a lock and an unlock, locked
+                // instructions that wait for its value copy's stores.
+                ShardedStore::ShardLock shard = store.lockShard(sh);
                 for (const std::uint32_t idx : list) {
                     const Request &req = merged[idx];
                     const auto t0 =
                         timing ? Clock::now() : Clock::time_point();
                     if (req.isPut) {
                         makeValue(buf, req);
-                        store.put(req.tenant, req.key, buf);
-                    } else if (!store.get(req.tenant, req.key)
+                        shard.put(req.tenant, req.key, buf);
+                    } else if (!shard.get(req.tenant, req.key)
                                     .hit) {
                         // Read-through fill: a get miss fetches the
                         // object from the (modelled) backend.
                         makeValue(buf, req);
-                        store.put(req.tenant, req.key, buf);
+                        shard.put(req.tenant, req.key, buf);
                     }
                     if (timing)
                         latency[req.tenant]->observe(

@@ -7,7 +7,8 @@
  * fills one request batch (streams fan out over the worker pool),
  * (2) the batches are merged in a fixed round-robin interleave,
  * (3) the merged sequence is partitioned by shard and each shard's
- * slice is applied in merged order (shards fan out over the pool),
+ * slice is applied in merged order under one hold of the shard's
+ * lock (ShardedStore::lockShard; shards fan out over the pool),
  * (4) after the barrier one sequential pass samples victim tenants
  * from the arbiter's Equation 1 distribution and plans each
  * eviction in the store, until occupancy net of the planned
@@ -73,7 +74,10 @@ struct ServeConfig
 
     /** Total requests; 0 = run by wall clock instead. */
     std::uint64_t opBudget = 0;
-    /** Wall-clock run length when opBudget == 0. */
+    /**
+     * Wall-clock run length when opBudget == 0; the constructor
+     * refuses one that is not finite or overruns the steady clock.
+     */
     double seconds = 5.0;
 
     /** Collect wall-clock latency/throughput (non-deterministic). */

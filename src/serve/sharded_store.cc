@@ -142,25 +142,31 @@ ShardedStore::ShardedStore(const StoreConfig &config)
         shard.slots.resize(slots);
         shard.lruHead.assign(tenants_, kNil);
         shard.lruTail.assign(tenants_, kNil);
-        shard.bytes.assign(tenants_, 0);
+        shard.counters = std::vector<TenantCounters>(tenants_);
         shard.ghost.resize(tenants_);
-    }
-
-    tenant_bytes_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    hits_ = std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    misses_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    shadow_hits_ =
-        std::make_unique<std::atomic<std::uint64_t>[]>(tenants_);
-    for (std::uint32_t t = 0; t < tenants_; ++t) {
-        tenant_bytes_[t] = 0;
-        hits_[t] = 0;
-        misses_[t] = 0;
-        shadow_hits_[t] = 0;
     }
     evict_cursor_.assign(tenants_, 0);
     plan_.resize(static_cast<std::size_t>(num_shards) * tenants_);
+}
+
+std::uint64_t
+ShardedStore::sumShards(Counter Shard::*field) const
+{
+    std::uint64_t sum = 0;
+    for (const Shard &shard : shards_)
+        sum += (shard.*field).load(std::memory_order_relaxed);
+    return sum;
+}
+
+std::uint64_t
+ShardedStore::sumTenant(std::uint32_t tenant,
+                        Counter TenantCounters::*field) const
+{
+    std::uint64_t sum = 0;
+    for (const Shard &shard : shards_)
+        sum += (shard.counters[tenant].*field).load(
+            std::memory_order_relaxed);
+    return sum;
 }
 
 std::uint32_t
@@ -215,15 +221,17 @@ ShardedStore::growShard(Shard &shard)
     // Double when genuinely full; a rehash at the same size just
     // purges tombstones (deletes can dominate growth).
     const std::size_t old_size = shard.slots.size();
+    const std::size_t used =
+        shard.objects.load(std::memory_order_relaxed);
     const std::size_t new_size =
-        shard.used * 2 >= old_size ? old_size * 2 : old_size;
+        used * 2 >= old_size ? old_size * 2 : old_size;
 
     // Per-tenant MRU->LRU orders survive the move by reinsertion in
     // order: walk each old chain head to tail, move the slot into
     // the new table, and append to the rebuilt chain's tail.
     std::vector<Slot> old_slots(new_size);
     old_slots.swap(shard.slots);
-    shard.filled = shard.used;
+    shard.filled = used;
 
     const std::size_t mask = new_size - 1;
     for (std::uint32_t t = 0; t < tenants_; ++t) {
@@ -291,11 +299,8 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
             const auto new_bytes =
                 static_cast<std::uint64_t>(value.size());
             storeValue(shard, slot.value, value);
-            shard.bytes[tenant] += new_bytes - old_bytes;
-            tenant_bytes_[tenant].fetch_add(
-                new_bytes - old_bytes, std::memory_order_relaxed);
-            total_bytes_.fetch_add(new_bytes - old_bytes,
-                                   std::memory_order_relaxed);
+            add(shard.counters[tenant].bytes, new_bytes - old_bytes);
+            add(shard.bytes, new_bytes - old_bytes);
             unlink(shard, static_cast<std::uint32_t>(i));
             linkFront(shard, static_cast<std::uint32_t>(i));
             return;
@@ -307,15 +312,12 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
     slot.tenant = tenant;
     slot.state = SlotState::Full;
     storeValue(shard, slot.value, value);
-    ++shard.used;
     linkFront(shard, static_cast<std::uint32_t>(target));
 
     const auto bytes = static_cast<std::uint64_t>(value.size());
-    shard.bytes[tenant] += bytes;
-    tenant_bytes_[tenant].fetch_add(bytes,
-                                    std::memory_order_relaxed);
-    total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    objects_.fetch_add(1, std::memory_order_relaxed);
+    add(shard.counters[tenant].bytes, bytes);
+    add(shard.bytes, bytes);
+    add(shard.objects, 1);
 
     // A key coming back to life stops being a ghost.
     shard.ghost[tenant].erase(key);
@@ -341,38 +343,38 @@ ShardedStore::storeValue(Shard &shard, Buffer &dst,
 }
 
 ShardedStore::GetResult
+ShardedStore::getLocked(Shard &shard, std::uint32_t tenant,
+                        std::uint64_t key, std::uint64_t hash,
+                        std::vector<std::uint8_t> *value_out)
+{
+    GetResult result;
+    TenantCounters &counters = shard.counters[tenant];
+    const std::uint32_t idx = findSlot(shard, tenant, key, hash);
+    if (idx != kNil) {
+        result.hit = true;
+        unlink(shard, idx);
+        linkFront(shard, idx);
+        if (value_out)
+            *value_out = shard.slots[idx].value;
+        add(counters.hits, 1);
+    } else {
+        result.shadowHit = shard.ghost[tenant].contains(key);
+        add(counters.misses, 1);
+        if (result.shadowHit)
+            add(counters.shadowHits, 1);
+    }
+    return result;
+}
+
+ShardedStore::GetResult
 ShardedStore::get(std::uint32_t tenant, std::uint64_t key,
                   std::vector<std::uint8_t> *value_out)
 {
     panicIf(tenant >= tenants_, "ShardedStore::get: bad tenant");
     const std::uint64_t hash = slotHash(tenant, key);
-    Shard &shard = shards_[hash >> shard_shift_ &
-                           (shards_.size() - 1)];
-
-    GetResult result;
-    {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        const std::uint32_t idx = findSlot(shard, tenant, key, hash);
-        if (idx != kNil) {
-            result.hit = true;
-            unlink(shard, idx);
-            linkFront(shard, idx);
-            if (value_out)
-                *value_out = shard.slots[idx].value;
-        } else {
-            result.shadowHit = shard.ghost[tenant].contains(key);
-        }
-    }
-
-    if (result.hit) {
-        hits_[tenant].fetch_add(1, std::memory_order_relaxed);
-    } else {
-        misses_[tenant].fetch_add(1, std::memory_order_relaxed);
-        if (result.shadowHit)
-            shadow_hits_[tenant].fetch_add(
-                1, std::memory_order_relaxed);
-    }
-    return result;
+    Shard &shard = shards_[shardIndex(hash)];
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    return getLocked(shard, tenant, key, hash, value_out);
 }
 
 void
@@ -381,10 +383,52 @@ ShardedStore::put(std::uint32_t tenant, std::uint64_t key,
 {
     panicIf(tenant >= tenants_, "ShardedStore::put: bad tenant");
     const std::uint64_t hash = slotHash(tenant, key);
-    Shard &shard = shards_[hash >> shard_shift_ &
-                           (shards_.size() - 1)];
+    Shard &shard = shards_[shardIndex(hash)];
     std::lock_guard<std::mutex> lock(shard.mutex);
     insertLocked(shard, tenant, key, hash, value);
+}
+
+ShardedStore::ShardLock::ShardLock(ShardedStore &store,
+                                   std::uint32_t shard)
+    : store_(store), shard_(store.shards_[shard]), index_(shard),
+      hold_(shard_.mutex)
+{
+}
+
+ShardedStore::ShardLock
+ShardedStore::lockShard(std::uint32_t shard)
+{
+    panicIf(shard >= shards_.size(),
+            "ShardedStore::lockShard: bad shard");
+    return ShardLock(*this, shard);
+}
+
+std::uint64_t
+ShardedStore::ShardLock::hashHere(std::uint32_t tenant,
+                                  std::uint64_t key) const
+{
+    panicIf(tenant >= store_.tenants_,
+            "ShardedStore::ShardLock: bad tenant");
+    const std::uint64_t hash = slotHash(tenant, key);
+    panicIf(store_.shardIndex(hash) != index_,
+            "ShardedStore::ShardLock: key routes to another shard");
+    return hash;
+}
+
+ShardedStore::GetResult
+ShardedStore::ShardLock::get(std::uint32_t tenant, std::uint64_t key,
+                             std::vector<std::uint8_t> *value_out)
+{
+    return store_.getLocked(shard_, tenant, key, hashHere(tenant, key),
+                            value_out);
+}
+
+void
+ShardedStore::ShardLock::put(std::uint32_t tenant, std::uint64_t key,
+                             std::span<const std::uint8_t> value)
+{
+    store_.insertLocked(shard_, tenant, key, hashHere(tenant, key),
+                        value);
 }
 
 ShardedStore::PlannedVictim
@@ -489,15 +533,13 @@ ShardedStore::evictPlanned(std::uint32_t shard_idx)
         panicIf(freed != cell.bytes,
                 "ShardedStore::evictPlanned: shard changed between "
                 "plan and execute");
-        shard.used -= cell.count;
-        shard.bytes[t] -= freed;
-        tenant_bytes_[t].fetch_sub(freed, std::memory_order_relaxed);
+        add(shard.counters[t].bytes, 0 - freed);
         total_freed += freed;
         evicted += cell.count;
         cell = PlanCell{};
     }
-    total_bytes_.fetch_sub(total_freed, std::memory_order_relaxed);
-    objects_.fetch_sub(evicted, std::memory_order_relaxed);
+    add(shard.bytes, 0 - total_freed);
+    add(shard.objects, 0 - evicted);
 }
 
 std::uint64_t

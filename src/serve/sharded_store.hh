@@ -6,10 +6,13 @@
  * an open-addressing hash table (linear probing, tombstones,
  * power-of-two slots) whose slots double as nodes of per-tenant
  * intrusive LRU lists, so recency is tracked per tenant per shard
- * with zero extra allocation. Byte-level accounting — per-shard
- * per-tenant exact counters plus store-wide relaxed atomics — gives
- * the arbiter the occupancy view Equation 1 needs without stopping
- * the world.
+ * with zero extra allocation. Accounting gives the arbiter the
+ * occupancy view Equation 1 needs without stopping the world: each
+ * shard counts its own bytes and objects and, per tenant, the bytes,
+ * hits, misses and shadow hits of its keys. Only the holder of the
+ * shard's lock writes them, with a relaxed load and store rather
+ * than a locked read-modify-write, and the store-wide readers sum
+ * relaxed loads over the shards.
  *
  * Each shard additionally keeps a per-tenant *ghost list* (a bounded
  * FIFO of recently evicted keys): a miss whose key is still in the
@@ -42,15 +45,24 @@
  * pass left and no put took, so a shard never holds more spare
  * memory than its latest pass evicted.
  *
- * Concurrency contract: get/put are thread-safe (per-shard mutex;
- * the TSan hammer test exercises this) and occupancy reads are
- * lock-free. Planning is sequential and reads shards without their
- * locks, so no get or put may run from the first planEviction until
- * the last evictPlanned returns; evictPlanned calls on distinct
- * shards may run concurrently. Determinism: identical operation
- * sequences per shard produce identical state at any thread count —
- * nothing in a shard depends on global order, only on its own, and
- * a shard's plan fixes its ghost-ring order (tail first per tenant).
+ * Concurrency contract: get/put are thread-safe (each holds its
+ * key's shard mutex for the one op; the TSan hammer test exercises
+ * this) and the occupancy and statistics readers are lock-free.
+ * lockShard returns a ShardLock, which holds one shard's mutex until
+ * it is destroyed and whose get/put are the store's own for the keys
+ * that route to that shard, so a run of ops on one shard takes its
+ * lock once. Two rules follow:
+ *  - a thread holding a shard's lock must not call the store's own
+ *    get/put on that shard, or it self-deadlocks;
+ *  - planning is sequential and reads shards without their locks, so
+ *    from the first planEviction until the last evictPlanned returns
+ *    no get or put may run and no shard lock may be open.
+ * evictPlanned calls on distinct shards may run concurrently.
+ *
+ * Determinism: identical operation sequences per shard produce
+ * identical state at any thread count — nothing in a shard depends
+ * on global order, only on its own, and a shard's plan fixes its
+ * ghost-ring order (tail first per tenant).
  */
 
 #ifndef PRISM_SERVE_SHARDED_STORE_HH
@@ -58,7 +70,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -84,6 +95,8 @@ struct StoreConfig
 /** The sharded object store. */
 class ShardedStore
 {
+    struct Shard;
+
   public:
     explicit ShardedStore(const StoreConfig &config);
 
@@ -115,13 +128,48 @@ class ShardedStore
     void put(std::uint32_t tenant, std::uint64_t key,
              std::span<const std::uint8_t> value);
 
+    /**
+     * Holds one shard's mutex from lockShard until it is destroyed,
+     * so a run of ops on that shard takes the lock once. get and put
+     * are the store's own; each panics on a bad tenant or on a key
+     * that routes to another shard. It refers into the store, so it
+     * must not outlive it.
+     */
+    class ShardLock
+    {
+      public:
+        ShardLock(const ShardLock &) = delete;
+        ShardLock &operator=(const ShardLock &) = delete;
+
+        GetResult get(std::uint32_t tenant, std::uint64_t key,
+                      std::vector<std::uint8_t> *value_out = nullptr);
+        void put(std::uint32_t tenant, std::uint64_t key,
+                 std::span<const std::uint8_t> value);
+
+      private:
+        friend class ShardedStore;
+        ShardLock(ShardedStore &store, std::uint32_t shard);
+
+        /** @p key's slotHash; panics on a bad tenant or a key that
+         *  routes to another shard. */
+        std::uint64_t hashHere(std::uint32_t tenant,
+                               std::uint64_t key) const;
+
+        ShardedStore &store_;
+        Shard &shard_;
+        std::uint32_t index_;
+        std::lock_guard<std::mutex> hold_;
+    };
+
+    /** Lock shard @p shard for a run of ops; panics when out of
+     *  range. */
+    ShardLock lockShard(std::uint32_t shard);
+
     /** Shard @p key routes to (for the engine's batch partition). */
     std::uint32_t
     shardOf(std::uint32_t tenant, std::uint64_t key) const
     {
-        return static_cast<std::uint32_t>(
-            slotHash(tenant, key) >> shard_shift_ &
-            (shards_.size() - 1));
+        return shardIndex(slotHash(tenant, key));
     }
 
     std::uint32_t shardCount() const
@@ -130,21 +178,18 @@ class ShardedStore
     }
     std::uint64_t capacityBytes() const { return capacity_bytes_; }
 
-    // --- occupancy (lock-free reads) -------------------------------
+    // --- occupancy (lock-free reads, summed over shards) -----------
     /** Bytes of live values tenant @p tenant holds right now. */
     std::uint64_t tenantBytes(std::uint32_t tenant) const
     {
-        return tenant_bytes_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(tenant, &TenantCounters::bytes);
     }
     /** Bytes of live values across all tenants. */
-    std::uint64_t totalBytes() const
-    {
-        return total_bytes_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalBytes() const { return sumShards(&Shard::bytes); }
     /** Live objects across all tenants. */
     std::uint64_t objectCount() const
     {
-        return objects_.load(std::memory_order_relaxed);
+        return sumShards(&Shard::objects);
     }
     /**
      * Capacity of the spare value buffers all shards hold. Locks
@@ -186,15 +231,15 @@ class ShardedStore
     // --- per-tenant access statistics (monotonic) -------------------
     std::uint64_t hits(std::uint32_t tenant) const
     {
-        return hits_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(tenant, &TenantCounters::hits);
     }
     std::uint64_t misses(std::uint32_t tenant) const
     {
-        return misses_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(tenant, &TenantCounters::misses);
     }
     std::uint64_t shadowHits(std::uint32_t tenant) const
     {
-        return shadow_hits_[tenant].load(std::memory_order_relaxed);
+        return sumTenant(tenant, &TenantCounters::shadowHits);
     }
 
     /** Hash-table growth/compaction events across all shards. */
@@ -261,16 +306,42 @@ class ShardedStore
 
     using Buffer = std::vector<std::uint8_t>;
 
+    /**
+     * An accounting counter. Only the holder of its shard's lock
+     * writes it (see add), so readers may load it without the lock.
+     */
+    using Counter = std::atomic<std::uint64_t>;
+
+    /** Add @p delta (wrapping, so it may subtract) to @p counter: a
+     *  relaxed load and store, no locked read-modify-write. Caller
+     *  holds the counter's shard lock. */
+    static void
+    add(Counter &counter, std::uint64_t delta)
+    {
+        counter.store(counter.load(std::memory_order_relaxed) + delta,
+                      std::memory_order_relaxed);
+    }
+
+    /** One tenant's accounting in one shard. */
+    struct TenantCounters
+    {
+        Counter bytes{0};
+        Counter hits{0};
+        Counter misses{0};
+        Counter shadowHits{0};
+    };
+
     struct Shard
     {
         mutable std::mutex mutex;
         std::vector<Slot> slots; ///< power-of-two size
-        std::size_t used = 0;    ///< Full slots
         std::size_t filled = 0;  ///< Full + Tombstone slots
+        Counter objects{0};      ///< Full slots (live objects)
+        Counter bytes{0};        ///< live value bytes
         // Per-tenant state, indexed by tenant id.
         std::vector<std::uint32_t> lruHead; ///< MRU end
         std::vector<std::uint32_t> lruTail; ///< LRU end
-        std::vector<std::uint64_t> bytes;
+        std::vector<TenantCounters> counters;
         std::vector<GhostList> ghost;
         /**
          * Buffers of values this shard's latest eviction pass
@@ -287,6 +358,20 @@ class ShardedStore
         return Rng::mix64(key ^ Rng::mix64(0x7E9A9C1B2D3E4F50ULL +
                                            tenant));
     }
+
+    /** Shard a key whose slotHash is @p hash routes to. */
+    std::uint32_t
+    shardIndex(std::uint64_t hash) const
+    {
+        return static_cast<std::uint32_t>(hash >> shard_shift_ &
+                                          (shards_.size() - 1));
+    }
+
+    /** Sum of @p field over the shards (relaxed loads). */
+    std::uint64_t sumShards(Counter Shard::*field) const;
+    /** Sum of tenant @p tenant's @p field over the shards. */
+    std::uint64_t sumTenant(std::uint32_t tenant,
+                            Counter TenantCounters::*field) const;
 
     /** Find @p key's Full slot; kNil when absent. */
     std::uint32_t findSlot(const Shard &shard, std::uint32_t tenant,
@@ -318,6 +403,11 @@ class ShardedStore
     void unlink(Shard &shard, std::uint32_t idx);
     void linkFront(Shard &shard, std::uint32_t idx);
     void growShard(Shard &shard);
+    /** get and put on @p key's shard, whose lock the caller holds;
+     *  @p hash is the key's slotHash. */
+    GetResult getLocked(Shard &shard, std::uint32_t tenant,
+                        std::uint64_t key, std::uint64_t hash,
+                        std::vector<std::uint8_t> *value_out);
     void insertLocked(Shard &shard, std::uint32_t tenant,
                       std::uint64_t key, std::uint64_t hash,
                       std::span<const std::uint8_t> value);
@@ -333,15 +423,6 @@ class ShardedStore
 
     std::vector<Shard> shards_;
 
-    // Store-wide accounting (relaxed; exact because every update
-    // happens under some shard lock and readers tolerate staleness
-    // of in-flight operations).
-    std::unique_ptr<std::atomic<std::uint64_t>[]> tenant_bytes_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> hits_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> misses_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> shadow_hits_;
-    std::atomic<std::uint64_t> total_bytes_{0};
-    std::atomic<std::uint64_t> objects_{0};
     std::atomic<std::uint64_t> rehashes_{0};
 
     /** Per-tenant round-robin shard cursor (only touched by the

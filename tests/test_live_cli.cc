@@ -201,3 +201,22 @@ TEST(LiveCli, OutOfRangeCountsAreUsageErrors)
     }
     run("rm -rf " + dir);
 }
+
+TEST(LiveCli, SecondsTheClockCannotHoldAreUsageErrors)
+{
+    // Each of these once became a deadline in the past: the run
+    // wrote a document of zero ops and rounds and exited 0.
+    const std::string dir = tempDir();
+    const std::string json = dir + "/serve.json";
+    for (const char *seconds : {"inf", "nan", "1e300"}) {
+        const auto [code, out] =
+            run(serveBin() + " --tenants 1 --keys 1000 --seconds " +
+                seconds + " --json " + json);
+        EXPECT_EQ(code, 2) << seconds << ": " << out;
+        EXPECT_NE(out.find("--seconds must be"), std::string::npos)
+            << seconds << ": " << out;
+        EXPECT_FALSE(std::ifstream(json).is_open())
+            << seconds << " wrote a document";
+    }
+    run("rm -rf " + dir);
+}

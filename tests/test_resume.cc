@@ -332,3 +332,28 @@ TEST(ResumeCli, ResumeRequiresCheckpointPath)
     EXPECT_NE(r.out.find("--resume requires --ckpt"),
               std::string::npos);
 }
+
+TEST(ResumeCli, BadDeadlinesAndRetriesAreUsageErrors)
+{
+    // Each of these once ran: a --deadline the clock cannot hold
+    // became a deadline in the past and quarantined every job, "abc"
+    // meant no watchdog, and --retries -1 wrapped to one attempt.
+    const std::string dir = scratchDir("bad_flags");
+    for (const char *flag :
+         {"--deadline inf", "--deadline 1e300", "--deadline nan",
+          "--deadline abc", "--retries -1", "--retries abc",
+          "--retries 4294967295"}) {
+        const RunOutcome r = run(benchBin(), benchFixture(dir, flag));
+        EXPECT_EQ(r.exitCode(), 2) << flag << ": " << r.out;
+        EXPECT_NE(r.out.find("must be"), std::string::npos)
+            << flag << ": " << r.out;
+        EXPECT_FALSE(std::filesystem::exists(dir + "/BENCH_fixture.json"))
+            << flag << " wrote a document";
+    }
+    // A long deadline the clock can hold arms a watchdog that never
+    // fires.
+    const RunOutcome ok =
+        run(benchBin(), benchFixture(dir, "--deadline 1e9 --retries 0"));
+    EXPECT_TRUE(ok.cleanExit()) << ok.out;
+    std::filesystem::remove_all(dir);
+}

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <thread>
@@ -208,6 +209,24 @@ TEST(Supervisor, DeadlineCancellationClassifiesTimeout)
     ASSERT_EQ(report.failures.size(), 2u);
     EXPECT_EQ(report.failures[0].kind, JobErrorKind::Timeout);
     EXPECT_EQ(report.failures[1].kind, JobErrorKind::Timeout);
+}
+
+TEST(CancelToken, DeadlineBeyondTheClockIsNoDeadline)
+{
+    // Each of these once became a deadline in the past, so every
+    // attempt was cancelled at its first poll.
+    for (const double seconds :
+         {std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN(), 1e300, 1e10}) {
+        CancelToken token;
+        token.setDeadline(seconds);
+        EXPECT_FALSE(token.deadlineExceeded()) << seconds;
+        EXPECT_NO_THROW(token.poll()) << seconds;
+    }
+    CancelToken armed;
+    armed.setDeadline(1e-9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(armed.deadlineExceeded());
 }
 
 TEST(Supervisor, StopFlagSkipsBeforeFirstAttempt)

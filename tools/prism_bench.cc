@@ -171,10 +171,11 @@ main(int argc, char **argv)
         } else if (arg == "--no-supervise") {
             options.supervise = false;
         } else if (arg == "--retries") {
-            options.retries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            if (!parseRetriesArg(value(), options.retries))
+                return 2;
         } else if (arg == "--deadline") {
-            options.deadlineSeconds = std::atof(value().c_str());
+            if (!parseDeadlineArg(value(), options.deadlineSeconds))
+                return 2;
         } else if (arg == "--chaos") {
             options.chaosSpec = value();
         } else if (arg == "--chaos-seed") {

@@ -25,6 +25,7 @@
  * 2 usage or input error.
  */
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -37,6 +38,7 @@
 #include "analysis/online_doctor.hh"
 #include "analysis/series.hh"
 #include "common/atomic_file.hh"
+#include "common/cancel.hh"
 #include "common/json.hh"
 #include "common/stop_signal.hh"
 #include "serve/serve_engine.hh"
@@ -206,8 +208,11 @@ main(int argc, char **argv)
             config.policy = v[0];
         } else if (arg == "--seconds") {
             config.seconds = parseDoubleArg(arg, value());
-            if (config.seconds <= 0.0)
-                cliError("--seconds must be positive");
+            if (!(config.seconds > 0.0) ||
+                !deadlineAfter(std::chrono::steady_clock::now(),
+                               config.seconds))
+                cliError("--seconds must be positive, finite and "
+                         "within the clock's range");
         } else if (arg == "--ops") {
             config.opBudget = parseU64Arg(arg, value());
             if (config.opBudget == 0)
