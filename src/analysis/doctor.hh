@@ -128,8 +128,8 @@ Verdict analyze(const RunSeries &s, const DoctorThresholds &t = {});
  * (docs/RELIABILITY.md): retries and deadline timeouts WARN,
  * quarantined jobs and corrupt checkpoints FAIL. The verdict's run
  * id is "exec"; callers append it to the per-job verdicts only when
- * the sweep was supervised and something noteworthy happened, so
- * clean runs keep emitting byte-identical doctor documents.
+ * something noteworthy happened, so clean runs keep emitting
+ * byte-identical doctor documents.
  */
 Verdict analyzeExec(const ExecSeries &s);
 

@@ -1,11 +1,10 @@
 #include "analysis/run_spec.hh"
 
-#include <charconv>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "fault/fault_injector.hh"
 
 namespace prism::analysis
@@ -29,9 +28,7 @@ Status
 parseU64(const std::string &flag, const std::string &text,
          std::uint64_t &out)
 {
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, out);
-    if (text.empty() || res.ec != std::errc() || res.ptr != end)
+    if (!prism::parseU64(text, out))
         return Status::error("invalid number '" + text + "' for " +
                              flag);
     return Status();
@@ -41,9 +38,7 @@ Status
 parseDouble(const std::string &flag, const std::string &text,
             double &out)
 {
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
+    if (!prism::parseDouble(text, out))
         return Status::error("invalid number '" + text + "' for " +
                              flag);
     return Status();

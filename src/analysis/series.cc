@@ -488,7 +488,6 @@ execSeriesFromBenchDoc(const JsonValue &doc, ExecSeries &out)
         return false;
 
     ExecSeries s;
-    s.supervised = true;
     s.jobs = doc.at("jobs").elements().size();
     s.completed = exec->at("completed").asU64();
     s.recovered = exec->at("recovered").asU64();

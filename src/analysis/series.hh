@@ -157,8 +157,6 @@ Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);
  */
 struct ExecSeries
 {
-    /** A supervision manifest was present at all. */
-    bool supervised = false;
     std::uint64_t jobs = 0;
     std::uint64_t completed = 0;
     std::uint64_t recovered = 0;

@@ -1,7 +1,8 @@
 #include "fault/fault_injector.hh"
 
-#include <charconv>
 #include <limits>
+
+#include "common/parse.hh"
 
 namespace prism
 {
@@ -66,16 +67,6 @@ parseKind(const std::string &word, FaultKind &out)
     return false;
 }
 
-bool
-parseNumber(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, out);
-    return res.ec == std::errc() && res.ptr == end;
-}
-
 } // namespace
 
 Status
@@ -120,7 +111,7 @@ parseFaultSpec(const std::string &spec, std::vector<FaultClause> &out)
                     "fault spec clause '" + clause +
                     "': '*attempts' is only valid for exec-level "
                     "kinds");
-            if (!parseNumber(attempts_s, fc.attempts))
+            if (!parseU64(attempts_s, fc.attempts))
                 return Status::error("fault spec clause '" + clause +
                                      "': bad attempt count '" +
                                      attempts_s + "'");
@@ -128,12 +119,12 @@ parseFaultSpec(const std::string &spec, std::vector<FaultClause> &out)
         }
         const std::size_t plus = sched.find('+');
         std::string period_s = sched.substr(0, plus);
-        if (!parseNumber(period_s, fc.period) || fc.period == 0)
+        if (!parseU64(period_s, fc.period) || fc.period == 0)
             return Status::error("fault spec clause '" + clause +
                                  "': bad period '" + period_s + "'");
         if (plus != std::string::npos) {
             const std::string phase_s = sched.substr(plus + 1);
-            if (!parseNumber(phase_s, fc.phase) || fc.phase == 0)
+            if (!parseU64(phase_s, fc.phase) || fc.phase == 0)
                 return Status::error("fault spec clause '" + clause +
                                      "': bad phase '" + phase_s + "'");
         }

@@ -1,35 +1,10 @@
 #include "serve/load_gen.hh"
 
-#include <charconv>
-#include <cstdlib>
-
+#include "common/parse.hh"
 #include "common/prism_assert.hh"
 
 namespace prism::serve
 {
-
-namespace
-{
-
-bool
-parseU64(std::string_view text, std::uint64_t &out)
-{
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
-
-bool
-parseDouble(std::string_view text, double &out)
-{
-    const std::string buf(text);
-    char *end = nullptr;
-    out = std::strtod(buf.c_str(), &end);
-    return end == buf.c_str() + buf.size() && !buf.empty();
-}
-
-} // namespace
 
 Status
 parseTenantSpec(std::string_view text, TenantSpec &out)

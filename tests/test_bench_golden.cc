@@ -134,8 +134,17 @@ TEST(BenchGolden, ListIncludesHeadlineFigures)
 {
     const auto [code, out] = run("--list");
     EXPECT_EQ(code, 0);
-    EXPECT_NE(out.find("fig02_summary"), std::string::npos);
-    EXPECT_NE(out.find("fig13_victimless"), std::string::npos);
+    // Every figure and ablation of the evaluation, each of which once
+    // had a binary of its own.
+    for (const char *id :
+         {"fig01a_scalability", "fig01b_finegrain", "fig02_summary",
+          "fig03a_quad", "fig03b_32core", "fig04_occupancy",
+          "fig05_waypart", "fig06_16way", "fig07_vantage",
+          "fig08_vantage_misses", "fig09_fairness", "fig10_qos",
+          "fig11_evprob", "fig12_bits", "fig13_victimless", "sec56_dip",
+          "ablation_interval", "ablation_repl", "ablation_alloc"})
+        EXPECT_NE(out.find(std::string(id) + "\n"), std::string::npos)
+            << id;
     // Hidden fixtures stay out of the listing.
     EXPECT_EQ(out.find("fixture\n"), std::string::npos);
 }

@@ -202,6 +202,39 @@ TEST(LiveCli, OutOfRangeCountsAreUsageErrors)
     run("rm -rf " + dir);
 }
 
+TEST(LiveCli, NegativeCountsAreUsageErrors)
+{
+    // Each of these once wrapped silently: std::stoull negates a
+    // leading minus, so --seed -1 wrote a document seeded with 2^64-1
+    // and prism_top rendered with a frame budget and a poll interval
+    // of 2^64-1.
+    const std::string dir = tempDir();
+    const std::string json = dir + "/serve.json";
+    const auto [serve_code, serve_out] =
+        run(serveBin() + " --tenants 1 --keys 1000 --ops 20000 "
+                         "--no-timing --seed -1 --json " +
+            json);
+    EXPECT_EQ(serve_code, 2) << serve_out;
+    EXPECT_FALSE(std::ifstream(json).is_open())
+        << "--seed -1 wrote a document";
+
+    const std::string snap = dir + "/snap.json";
+    const auto [snap_code, snap_out] =
+        run(serveBin() + " --tenants 1 --keys 1000 --ops 20000 "
+                         "--no-timing --quiet --metrics-out " +
+            snap);
+    ASSERT_EQ(snap_code, 0) << snap_out;
+    for (const char *flag : {"--frames -1", "--interval-ms -1"}) {
+        const auto [code, out] =
+            run(topBin() + " " + snap + " --once " + flag);
+        EXPECT_EQ(code, 2) << flag << ": " << out;
+        EXPECT_NE(out.find("must be a positive integer"),
+                  std::string::npos)
+            << flag << ": " << out;
+    }
+    run("rm -rf " + dir);
+}
+
 TEST(LiveCli, SecondsTheClockCannotHoldAreUsageErrors)
 {
     // Each of these once became a deadline in the past: the run

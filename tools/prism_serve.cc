@@ -40,6 +40,7 @@
 #include "common/atomic_file.hh"
 #include "common/cancel.hh"
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/stop_signal.hh"
 #include "serve/serve_engine.hh"
 
@@ -108,26 +109,22 @@ cliError(const std::string &msg)
     std::exit(2);
 }
 
+/** A usage error unless @p value parses as an unsigned integer. */
 std::uint64_t
-parseU64Arg(const std::string &arg, const std::string &value)
+u64Arg(const std::string &arg, const std::string &value)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
+    std::uint64_t v = 0;
+    if (!parseU64(value, v))
         cliError("invalid value '" + value + "' for " + arg);
-    }
+    return v;
 }
 
-/** parseU64Arg, then a usage error unless the value is in [1, max]. */
+/** u64Arg, then a usage error unless the value is in [1, max]. */
 std::uint64_t
 parseCountArg(const std::string &arg, const std::string &value,
               std::uint64_t max)
 {
-    const std::uint64_t v = parseU64Arg(arg, value);
+    const std::uint64_t v = u64Arg(arg, value);
     if (v == 0 || v > max)
         cliError(arg + " must be in [1, " + std::to_string(max) + "]");
     return v;
@@ -136,9 +133,8 @@ parseCountArg(const std::string &arg, const std::string &value,
 double
 parseDoubleArg(const std::string &arg, const std::string &value)
 {
-    char *end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size())
+    double v = 0.0;
+    if (!parseDouble(value, v))
         cliError("invalid value '" + value + "' for " + arg);
     return v;
 }
@@ -172,7 +168,7 @@ main(int argc, char **argv)
         } else if (arg == "--tenant") {
             tenant_specs.push_back(value());
         } else if (arg == "--keys") {
-            base.keys = parseU64Arg(arg, value());
+            base.keys = u64Arg(arg, value());
             if (base.keys == 0)
                 cliError("--keys must be positive");
         } else if (arg == "--zipf") {
@@ -197,7 +193,7 @@ main(int argc, char **argv)
             config.capacityBytes =
                 parseCountArg(arg, value(), UINT64_MAX >> 20) << 20;
         } else if (arg == "--interval") {
-            config.intervalMisses = parseU64Arg(arg, value());
+            config.intervalMisses = u64Arg(arg, value());
             if (config.intervalMisses == 0)
                 cliError("--interval must be positive");
         } else if (arg == "--policy") {
@@ -214,11 +210,11 @@ main(int argc, char **argv)
                 cliError("--seconds must be positive, finite and "
                          "within the clock's range");
         } else if (arg == "--ops") {
-            config.opBudget = parseU64Arg(arg, value());
+            config.opBudget = u64Arg(arg, value());
             if (config.opBudget == 0)
                 cliError("--ops must be positive");
         } else if (arg == "--seed") {
-            config.seed = parseU64Arg(arg, value());
+            config.seed = u64Arg(arg, value());
         } else if (arg == "--json") {
             json_path = value();
         } else if (arg == "--no-timing") {
@@ -234,10 +230,10 @@ main(int argc, char **argv)
             if (live.metricsPromPath.empty())
                 cliError("--metrics-prom needs a path");
         } else if (arg == "--metrics-every") {
-            live.metricsEvery = parseU64Arg(arg, value());
+            live.metricsEvery = u64Arg(arg, value());
         } else if (arg == "--window") {
             live.windowCapacity = static_cast<std::size_t>(
-                parseU64Arg(arg, value()));
+                u64Arg(arg, value()));
             if (live.windowCapacity == 0)
                 cliError("--window must be positive");
         } else if (arg == "--live-doctor") {

@@ -18,7 +18,6 @@
  * spec).
  */
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -26,6 +25,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "fault/fault_injector.hh"
 #include "sim/runner.hh"
@@ -117,9 +117,7 @@ std::uint64_t
 parseU64(const std::string &flag, const std::string &text)
 {
     std::uint64_t v = 0;
-    const char *end = text.data() + text.size();
-    const auto res = std::from_chars(text.data(), end, v);
-    if (text.empty() || res.ec != std::errc() || res.ptr != end)
+    if (!prism::parseU64(text, v))
         cliError("invalid number '" + text + "' for " + flag);
     return v;
 }
@@ -137,9 +135,8 @@ parseUnsigned(const std::string &flag, const std::string &text)
 double
 parseDouble(const std::string &flag, const std::string &text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || end != text.c_str() + text.size())
+    double v = 0.0;
+    if (!prism::parseDouble(text, v))
         cliError("invalid number '" + text + "' for " + flag);
     return v;
 }

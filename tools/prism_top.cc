@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "common/status.hh"
 #include "common/table.hh"
 
@@ -61,18 +62,15 @@ cliError(const std::string &msg)
     std::exit(2);
 }
 
+/** A usage error unless @p value is a positive integer. */
 std::uint64_t
-parseU64Arg(const std::string &arg, const std::string &value)
+positiveArg(const std::string &arg, const std::string &value)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t v = std::stoull(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception &) {
-        cliError("invalid value '" + value + "' for " + arg);
-    }
+    std::uint64_t v = 0;
+    if (!parseU64(value, v) || v == 0)
+        cliError(arg + " must be a positive integer, got '" + value +
+                 "'");
+    return v;
 }
 
 Status
@@ -221,13 +219,9 @@ main(int argc, char **argv)
         } else if (arg == "--once") {
             once = true;
         } else if (arg == "--frames") {
-            frames = parseU64Arg(arg, value());
-            if (frames == 0)
-                cliError("--frames must be positive");
+            frames = positiveArg(arg, value());
         } else if (arg == "--interval-ms") {
-            interval_ms = parseU64Arg(arg, value());
-            if (interval_ms == 0)
-                cliError("--interval-ms must be positive");
+            interval_ms = positiveArg(arg, value());
         } else if (!arg.empty() && arg[0] == '-') {
             cliError("unknown option '" + arg + "'");
         } else if (path.empty()) {
