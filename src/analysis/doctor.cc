@@ -431,7 +431,7 @@ Checker::attainment()
 }
 
 /**
- * Serving-mode checks (prism-serve-v1 inputs). Emitted only when
+ * Serving-mode checks (serve metrics snapshots). Emitted only when
  * the input is a serve session — simulator runs produce no serve.*
  * findings at all, not even SKIPs, so their doctor documents are
  * unchanged by the serving subsystem's existence.
@@ -566,7 +566,7 @@ Checker::serve()
  * EWMA drift checks (live-window inputs). Like the serve.* family,
  * these are emitted only for serving-mode runs, so every existing
  * sim-side doctor document is unchanged; serve inputs without window
- * statistics (plain prism-serve-v1 documents) SKIP them explicitly.
+ * statistics SKIP them explicitly.
  */
 void
 Checker::drift()

@@ -100,7 +100,7 @@ struct DoctorThresholds
     /** Fairness (min/max normalised progress) warning floor. */
     double fairnessWarn = 0.35;
 
-    // --- serving-mode bounds (prism-serve-v1 inputs only) -----------
+    // --- serving-mode bounds (serve snapshots only) -----------------
     /** Slack under a tenant's hit-ratio SLO floor before failing. */
     double serveSloSlack = 0.005;
     /** Modelled miss penalty (backend fetch / hit cost) used to turn

@@ -45,8 +45,8 @@ OnlineDoctor::buildSeries(const telemetry::SlidingWindow &window,
     s.droppedSamples = state.droppedSamples;
     s.droppedEvents = state.droppedEvents;
 
-    // Whole-run hit ratios, same formula writeServeJson uses, so
-    // the offline doctor on the emitted documents reproduces these
+    // Whole-run hit ratios, the formula snapshot() renders, so the
+    // offline doctor on the emitted snapshots reproduces these
     // inputs bit for bit.
     for (const serve::TenantTotals &t : state.tenants) {
         const std::uint64_t accesses = t.hits + t.misses;
@@ -123,6 +123,10 @@ ServeLiveObserver::ServeLiveObserver(
               telemetry::WindowConfig{
                   options_.windowCapacity, options_.ewmaAlpha,
                   options_.thresholds.serveMissPenalty}),
+      history_(static_cast<std::uint32_t>(config.tenants.size()),
+               telemetry::WindowConfig{
+                   config.recorderCapacity, options_.ewmaAlpha,
+                   options_.thresholds.serveMissPenalty}),
       doctor_(options_.thresholds),
       exporter_(telemetry::ExporterConfig{
           options_.metricsJsonPath, options_.metricsPromPath,
@@ -141,6 +145,7 @@ ServeLiveObserver::onIntervalClosed(
     const serve::ServeLiveState &state)
 {
     window_.push(sample, evictions);
+    history_.push(sample, evictions);
     last_ = state;
     if (options_.onlineDoctor)
         doctor_.evaluate(window_, state, config_);
@@ -161,11 +166,14 @@ void
 ServeLiveObserver::onRunEnd(const serve::ServeLiveState &state)
 {
     last_ = state;
-    // The authoritative final verdict: cumulative totals are final
-    // here (a run whose last round closed no interval would
-    // otherwise grade slightly stale hit ratios).
+    ended_ = true;
+    // The authoritative final verdict, over the whole run's rows:
+    // cumulative totals are final here (a run whose last round
+    // closed no interval would otherwise grade slightly stale hit
+    // ratios). Both windows saw every interval, so their EWMA drift
+    // agrees.
     if (options_.onlineDoctor)
-        doctor_.evaluate(window_, state, config_);
+        doctor_.evaluate(history_, state, config_);
 }
 
 Status
@@ -199,6 +207,7 @@ ServeLiveObserver::snapshot() const
     snap.occupancyBytes = last_.occupancyBytes;
     snap.capacityBytes = config_.capacityBytes;
     snap.objects = last_.objects;
+    snap.rehashes = last_.rehashes;
     snap.droppedSamples = last_.droppedSamples;
     snap.droppedEvents = last_.droppedEvents;
 
@@ -231,6 +240,8 @@ ServeLiveObserver::snapshot() const
     }
 
     snap.window = &window_;
+    if (ended_)
+        snap.history = &history_;
 
     if (options_.onlineDoctor && doctor_.evaluated()) {
         const Verdict &v = doctor_.verdict();

@@ -7,22 +7,28 @@
  * long-running prism_serve instance would stay a black box until
  * shutdown. The online doctor closes that gap: after every interval
  * close it assembles a RunSeries from the SlidingWindow plus the
- * engine's cumulative totals — the exact shape seriesFromServeJson /
- * seriesFromMetricsJson produce — and re-runs analyze() over it.
- * Same checks, same thresholds, same verdict taxonomy; plus the
- * drift.* checks over the window's EWMA statistics, which only live
- * inputs carry.
+ * engine's cumulative totals — the exact shape seriesFromMetricsJson
+ * produces — and re-runs analyze() over it. Same checks, same
+ * thresholds, same verdict taxonomy; plus the drift.* checks over
+ * the window's EWMA statistics.
+ *
+ * When the run ends, the observer grades its history instead: a
+ * second window, sized to the engine's recorder capacity, that holds
+ * every interval the run closed (up to that bound). The final
+ * snapshot carries those rows as its "history" section, so it is the
+ * serve run's whole-run document, and its embedded verdict is the
+ * one prism_doctor computes from it.
  *
  * Check-status escalations (anything rising to WARN or FAIL) are
  * appended to the run's IntervalRecorder as DoctorWarn / DoctorFail
- * trace-timeline events, and the latest verdict is embedded in every
- * metrics snapshot, so both the trace and the exposition file tell
- * the operator *when* the control loop went unhealthy.
+ * events, and the latest verdict is embedded in every metrics
+ * snapshot, so the exposition file tells the operator *when* the
+ * control loop went unhealthy.
  *
  * Everything is evaluated in the engine's sequential sections from
  * deterministic state, so verdicts — like the snapshots — are
- * byte-identical at any --threads value, and the final verdict
- * matches what prism_doctor computes offline from the same data.
+ * byte-identical at any --threads value, and each embedded verdict
+ * matches what prism_doctor computes offline from its snapshot.
  */
 
 #ifndef PRISM_ANALYSIS_ONLINE_DOCTOR_HH
@@ -52,9 +58,9 @@ class OnlineDoctor
 
     /**
      * The live RunSeries for (@p window, @p state, @p config):
-     * identity and series shape match seriesFromServeJson, counters
-     * and hit ratios come from the cumulative totals, drift comes
-     * from the window's EWMA state.
+     * identity and series shape match seriesFromMetricsJson,
+     * counters and hit ratios come from the cumulative totals, drift
+     * comes from the window's EWMA state.
      */
     static RunSeries
     buildSeries(const telemetry::SlidingWindow &window,
@@ -93,7 +99,8 @@ struct LiveObserverOptions
     /** EWMA smoothing factor for the drift statistics. */
     double ewmaAlpha = 0.25;
 
-    /** Run the online doctor after every interval close. */
+    /** Run the online doctor after every interval close and grade
+     *  the run's history when it ends. */
     bool onlineDoctor = false;
     DoctorThresholds thresholds;
 
@@ -106,11 +113,11 @@ struct LiveObserverOptions
 };
 
 /**
- * The concrete live-plane observer both drivers wire into
- * ServeConfig::observer: feeds the SlidingWindow, runs the online
- * doctor, and writes metrics snapshots on the --metrics-every
- * cadence. flushFinal() writes the last snapshot unconditionally —
- * the SIGINT/SIGTERM path relies on it.
+ * The live-plane observer prism_serve wires into
+ * ServeConfig::observer: feeds the live window and the history
+ * window, runs the online doctor, and writes metrics snapshots on
+ * the --metrics-every cadence. flushFinal() writes the last
+ * snapshot unconditionally — the SIGINT/SIGTERM path relies on it.
  */
 class ServeLiveObserver final : public serve::ServeObserver
 {
@@ -135,6 +142,11 @@ class ServeLiveObserver final : public serve::ServeObserver
     {
         return window_;
     }
+    /** Every closed interval, up to ServeConfig::recorderCapacity. */
+    const telemetry::SlidingWindow &history() const
+    {
+        return history_;
+    }
     bool doctorEnabled() const { return options_.onlineDoctor; }
     const OnlineDoctor &doctor() const { return doctor_; }
 
@@ -150,9 +162,12 @@ class ServeLiveObserver final : public serve::ServeObserver
     serve::ServeConfig config_; ///< for SLO floors / policy / sizes
     LiveObserverOptions options_;
     telemetry::SlidingWindow window_;
+    telemetry::SlidingWindow history_;
     OnlineDoctor doctor_;
     telemetry::MetricsExporter exporter_;
     serve::ServeLiveState last_;
+    /** onRunEnd ran: snapshots carry the history section. */
+    bool ended_ = false;
     Status exportStatus_;
 };
 

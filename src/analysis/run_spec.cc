@@ -119,6 +119,8 @@ parseRunSpec(std::string_view text, RunSpec &out)
             if (!(st = value(v)).ok() ||
                 !(st = parseU64(flag, v, bits)).ok())
                 return st;
+            if (bits > 31)
+                return Status::error("--bits must be in [0, 31]");
         } else if (flag == "--qos-frac") {
             if (!(st = value(v)).ok() ||
                 !(st = parseDouble(flag, v, qos_frac)).ok())

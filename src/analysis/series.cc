@@ -341,67 +341,6 @@ seriesFromBenchJob(const JsonValue &job, RunSeries &out)
 }
 
 Status
-seriesFromServeJson(const JsonValue &doc, RunSeries &out)
-{
-    if (doc.at("schema").asString() != "prism-serve-v1")
-        return Status::error(
-            "not a prism-serve-v1 document (schema '" +
-            doc.at("schema").asString() + "')");
-
-    out = RunSeries();
-    out.serve = true;
-    out.plane = "store";
-    out.scheme =
-        canonicalSchemeName("PriSM-" + doc.at("policy").asString());
-    out.name = "serve/" + out.scheme;
-
-    const JsonValue &totals = doc.at("totals");
-    out.hasCounters = true;
-    out.intervals = totals.at("intervals").asU64();
-    out.recomputes = totals.at("recomputes").asU64();
-    out.eq1Fallbacks = totals.at("eq1_fallbacks").asU64();
-    out.clampedEq1Inputs = totals.at("clamped_eq1_inputs").asU64();
-    out.serveVictimless =
-        totals.at("victimless_evictions").asU64();
-
-    for (const JsonValue &tenant : doc.at("tenants").elements()) {
-        out.serveHitRatio.push_back(
-            tenant.at("hit_ratio").asDouble());
-        out.serveSloFloor.push_back(tenant.at("slo_hit").asDouble());
-    }
-    out.cores = static_cast<std::uint32_t>(
-        out.serveHitRatio.size());
-
-    const JsonValue &intervals = doc.at("intervals");
-    for (const JsonValue &v : intervals.at("interval").elements())
-        out.interval.push_back(v.asU64());
-    const auto rows = [&intervals](const char *key) {
-        std::vector<std::vector<double>> out_rows;
-        for (const JsonValue &row :
-             intervals.at(key).elements()) {
-            std::vector<double> values;
-            for (const JsonValue &v : row.elements())
-                values.push_back(v.asDouble());
-            out_rows.push_back(std::move(values));
-        }
-        return out_rows;
-    };
-    out.occupancy = rows("occupancy");
-    out.target = rows("target");
-    out.evProb = rows("ev_prob");
-    out.serveEvictions = rows("evictions");
-    out.hasSeries = !out.interval.empty();
-    out.prism = !out.target.empty();
-
-    if (const JsonValue *telemetry = doc.find("telemetry")) {
-        out.droppedSamples =
-            telemetry->at("dropped_samples").asU64();
-        out.droppedEvents = telemetry->at("dropped_events").asU64();
-    }
-    return Status();
-}
-
-Status
 seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
 {
     if (doc.at("schema").asString() != "prism-metrics-v1")
@@ -434,9 +373,11 @@ seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
         return Status();
     }
 
-    // Serve-sourced snapshot: identical identity and series shape
-    // to seriesFromServeJson, assembled from the snapshot's sliding
-    // window, so the offline doctor reproduces the online verdict.
+    // Serve-sourced snapshot: tenants in the per-core slots, series
+    // rows from the whole-run history when the snapshot was taken
+    // after the run ended and from the sliding window otherwise —
+    // the rows the online doctor graded, so the offline doctor
+    // reproduces the embedded verdict.
     out.serve = true;
     out.plane = "store";
     out.scheme =
@@ -458,12 +399,13 @@ seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
     out.cores = static_cast<std::uint32_t>(
         out.serveHitRatio.size());
 
-    const JsonValue &window = doc.at("window");
-    for (const JsonValue &v : window.at("interval").elements())
+    const JsonValue *history = doc.find("history");
+    const JsonValue &section = history ? *history : doc.at("window");
+    for (const JsonValue &v : section.at("interval").elements())
         out.interval.push_back(v.asU64());
-    const auto rows = [&window](const char *key) {
+    const auto rows = [&section](const char *key) {
         std::vector<std::vector<double>> out_rows;
-        for (const JsonValue &row : window.at(key).elements()) {
+        for (const JsonValue &row : section.at(key).elements()) {
             std::vector<double> values;
             for (const JsonValue &v : row.elements())
                 values.push_back(v.asDouble());

@@ -2,12 +2,13 @@
  * @file
  * RunSeries: the diagnostics engine's normalised view of one run.
  *
- * The doctor consumes runs from four places — a live IntervalRecorder
+ * The doctor consumes runs from five places — a live IntervalRecorder
  * (in-process, `prism_bench --doctor` / `prism_doctor --run`), a
  * `prism-stats-v1` document (counters only), a `prism-trace-v1`
- * Chrome trace (series + events reconstructed offline), and one job
- * of a `prism-bench-v1` sweep file (counters + performance). Each
- * source fills what it has and flags the rest absent, so the
+ * Chrome trace (series + events reconstructed offline), one job of a
+ * `prism-bench-v1` sweep file (counters + performance), and a
+ * `prism-metrics-v1` snapshot (a serve run, or a sweep's progress).
+ * Each source fills what it has and flags the rest absent, so the
  * analysis layer can emit explicit SKIP findings instead of
  * guessing.
  */
@@ -75,7 +76,7 @@ struct RunSeries
     /** PriSM-Q IPC floor fraction; 0 = not a QoS run. */
     double qosTargetFrac = 0.0;
 
-    // --- serving-mode data (prism-serve-v1) -------------------------
+    // --- serving-mode data (serve metrics snapshots) ----------------
     /** This run is a prism_serve session over tenants, not a
      *  simulated cache over cores; "core" indices are tenant ids and
      *  the serve.* checks apply. */
@@ -130,21 +131,15 @@ Status seriesFromTraceJson(const JsonValue &doc,
 Status seriesFromBenchJob(const JsonValue &job, RunSeries &out);
 
 /**
- * Read one serving session from a parsed `prism-serve-v1` document
- * (tools/prism_serve). Tenants map onto the per-core series slots,
- * so the tracking/stability/invariant checks grade the tenant
- * control loop unchanged, and the serve-specific fields enable the
- * serve.* checks (SLO attainment, fair slowdown, victim match).
- */
-Status seriesFromServeJson(const JsonValue &doc, RunSeries &out);
-
-/**
- * Read one live snapshot from a parsed `prism-metrics-v1` document
- * (src/telemetry/exporter.hh). A serve-sourced snapshot maps onto
- * the same series shape seriesFromServeJson produces — tenants in
- * the per-core slots, serve.* checks enabled — but over the
- * snapshot's sliding window instead of the whole run, and with the
- * window's drift statistics enabling the drift.* checks. A
+ * Read one snapshot from a parsed `prism-metrics-v1` document
+ * (src/telemetry/exporter.hh). A serve-sourced snapshot maps tenants
+ * onto the per-core series slots, so the tracking/stability/
+ * invariant checks grade the tenant control loop unchanged, and the
+ * serve-specific fields enable the serve.* checks (SLO attainment,
+ * fair slowdown, victim match). The series rows come from the
+ * snapshot's "history" section (the whole run; final snapshots
+ * only) when present and from its sliding window otherwise; the
+ * window's drift statistics enable the drift.* checks. A
  * bench-sourced snapshot yields counters only.
  */
 Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);

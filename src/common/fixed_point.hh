@@ -31,9 +31,8 @@ class FixedPointCodec
   public:
     /** @param bits Number of bits K; must be in [1, 31]. */
     explicit FixedPointCodec(unsigned bits)
-        : bits_(bits), scale_((1u << bits) - 1u)
+        : bits_(bits), scale_(scaleFor(bits))
     {
-        fatalIf(bits < 1 || bits > 31, "FixedPointCodec: bits out of range");
     }
 
     unsigned bits() const { return bits_; }
@@ -95,6 +94,14 @@ class FixedPointCodec
     }
 
   private:
+    /** 2^K - 1, range-checked before the shift (UB at K >= 32). */
+    static std::uint32_t
+    scaleFor(unsigned bits)
+    {
+        fatalIf(bits < 1 || bits > 31, "FixedPointCodec: bits out of range");
+        return (1u << bits) - 1u;
+    }
+
     unsigned bits_;
     std::uint32_t scale_;
 };

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <ostream>
 
 #include "common/cancel.hh"
-#include "common/json.hh"
 #include "common/prism_assert.hh"
 #include "exec/thread_pool.hh"
 
@@ -210,23 +208,20 @@ ServeEngine::run()
             base_shadow[t] += snap.shadowHits[t];
         }
         result.recorder->record(std::move(sample));
-        result.intervalEvictions.push_back(interval_evictions);
-        std::fill(interval_evictions.begin(),
-                  interval_evictions.end(), 0);
 
         arbiter.recompute(snap);
 
         if (config_.observer) {
             refresh();
-            // The recorded copy survives the move above; its row in
-            // intervalEvictions is the one just pushed.
+            // The recorded copy survives the move above.
             config_.observer->onIntervalClosed(
                 result.recorder->sample(result.recorder->size() -
                                         1),
-                std::span<const std::uint64_t>(
-                    result.intervalEvictions.back()),
+                std::span<const std::uint64_t>(interval_evictions),
                 result);
         }
+        std::fill(interval_evictions.begin(),
+                  interval_evictions.end(), 0);
     };
 
     const bool budgeted = config_.opBudget > 0;
@@ -399,245 +394,6 @@ ServeEngine::run()
     if (config_.observer)
         config_.observer->onRunEnd(result);
     return result;
-}
-
-void
-writeServeJson(std::ostream &os, const ServeConfig &config,
-               const ServeResult &result)
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.kv("schema", "prism-serve-v1");
-    w.kv("policy", policyName(config.policy));
-
-    w.key("config");
-    w.beginObject();
-    w.kv("capacity_bytes", config.capacityBytes);
-    w.kv("shards", config.shards);
-    w.kv("streams", config.streams);
-    w.kv("batch", config.batch);
-    w.kv("interval_misses", config.intervalMisses);
-    w.kv("seed", config.seed);
-    w.kv("op_budget", config.opBudget);
-    w.key("tenants");
-    w.beginArray();
-    for (const TenantSpec &spec : config.tenants) {
-        w.beginObject();
-        w.kv("keys", spec.keys);
-        w.kv("zipf", spec.zipf);
-        w.kv("get_frac", spec.getFrac);
-        w.kv("vmin", spec.vmin);
-        w.kv("vmax", spec.vmax);
-        w.kv("weight", spec.weight);
-        w.kv("slo_hit", spec.sloHit);
-        w.kv("floor", spec.floorFrac);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-
-    w.key("totals");
-    w.beginObject();
-    w.kv("ops", result.ops);
-    w.kv("gets", result.gets);
-    w.kv("puts", result.puts);
-    std::uint64_t hits = 0, misses = 0, shadow = 0;
-    for (const TenantTotals &t : result.tenants) {
-        hits += t.hits;
-        misses += t.misses;
-        shadow += t.shadowHits;
-    }
-    w.kv("hits", hits);
-    w.kv("misses", misses);
-    w.kv("shadow_hits", shadow);
-    w.kv("evictions", result.evictions);
-    w.kv("victimless_evictions", result.victimlessEvictions);
-    w.kv("rounds", result.rounds);
-    w.kv("intervals", result.intervals);
-    w.kv("recomputes", result.recomputes);
-    w.kv("eq1_fallbacks", result.eq1Fallbacks);
-    w.kv("clamped_eq1_inputs", result.clampedEq1Inputs);
-    w.kv("occupancy_bytes", result.occupancyBytes);
-    w.kv("objects", result.objects);
-    w.kv("rehashes", result.rehashes);
-    w.endObject();
-
-    w.key("tenants");
-    w.beginArray();
-    for (std::size_t t = 0; t < result.tenants.size(); ++t) {
-        const TenantTotals &tt = result.tenants[t];
-        w.beginObject();
-        w.kv("tenant", static_cast<std::uint64_t>(t));
-        w.kv("hits", tt.hits);
-        w.kv("misses", tt.misses);
-        w.kv("shadow_hits", tt.shadowHits);
-        w.kv("evictions", tt.evictions);
-        w.kv("occupancy_bytes", tt.occupancyBytes);
-        const std::uint64_t accesses = tt.hits + tt.misses;
-        w.kv("hit_ratio",
-             accesses ? static_cast<double>(tt.hits) /
-                            static_cast<double>(accesses)
-                      : 0.0);
-        w.kv("slo_hit", t < config.tenants.size()
-                            ? config.tenants[t].sloHit
-                            : 0.0);
-        w.endObject();
-    }
-    w.endArray();
-
-    // Interval series as parallel arrays, oldest retained first.
-    // When the recorder ring wrapped, the eviction rows are trimmed
-    // to the same retained window so every series stays aligned.
-    const telemetry::IntervalRecorder &rec = *result.recorder;
-    const std::size_t n = rec.size();
-    const std::size_t ev_skip =
-        result.intervalEvictions.size() > n
-            ? result.intervalEvictions.size() - n
-            : 0;
-
-    w.key("intervals");
-    w.beginObject();
-    w.key("interval");
-    w.beginArray();
-    for (std::size_t i = 0; i < n; ++i)
-        w.value(rec.sample(i).interval);
-    w.endArray();
-    w.key("misses_in_interval");
-    w.beginArray();
-    for (std::size_t i = 0; i < n; ++i)
-        w.value(rec.sample(i).missesInInterval);
-    w.endArray();
-
-    const auto doubleRows =
-        [&](const char *name,
-            const std::vector<double> &(*row)(
-                const telemetry::IntervalSample &)) {
-            w.key(name);
-            w.beginArray();
-            for (std::size_t i = 0; i < n; ++i) {
-                w.beginArray();
-                for (const double v : row(rec.sample(i)))
-                    w.value(v);
-                w.endArray();
-            }
-            w.endArray();
-        };
-    doubleRows("occupancy",
-               +[](const telemetry::IntervalSample &s)
-                   -> const std::vector<double> & {
-                   return s.occupancy;
-               });
-    doubleRows("target",
-               +[](const telemetry::IntervalSample &s)
-                   -> const std::vector<double> & {
-                   return s.target;
-               });
-    doubleRows("ev_prob",
-               +[](const telemetry::IntervalSample &s)
-                   -> const std::vector<double> & {
-                   return s.evProb;
-               });
-    doubleRows("miss_frac",
-               +[](const telemetry::IntervalSample &s)
-                   -> const std::vector<double> & {
-                   return s.missFrac;
-               });
-
-    const auto u64Rows =
-        [&](const char *name,
-            const std::vector<std::uint64_t> &(*row)(
-                const telemetry::IntervalSample &)) {
-            w.key(name);
-            w.beginArray();
-            for (std::size_t i = 0; i < n; ++i) {
-                w.beginArray();
-                for (const std::uint64_t v : row(rec.sample(i)))
-                    w.value(v);
-                w.endArray();
-            }
-            w.endArray();
-        };
-    u64Rows("hits",
-            +[](const telemetry::IntervalSample &s)
-                -> const std::vector<std::uint64_t> & {
-                return s.hits;
-            });
-    u64Rows("misses",
-            +[](const telemetry::IntervalSample &s)
-                -> const std::vector<std::uint64_t> & {
-                return s.misses;
-            });
-
-    w.key("evictions");
-    w.beginArray();
-    for (std::size_t i = 0; i < n; ++i) {
-        w.beginArray();
-        if (ev_skip + i < result.intervalEvictions.size())
-            for (const std::uint64_t v :
-                 result.intervalEvictions[ev_skip + i])
-                w.value(v);
-        w.endArray();
-    }
-    w.endArray();
-    w.endObject();
-
-    w.key("telemetry");
-    w.beginObject();
-    w.kv("dropped_samples", rec.droppedSamples());
-    w.kv("dropped_events", rec.droppedEvents());
-    w.endObject();
-
-    if (config.timing) {
-        w.key("timing");
-        w.beginObject();
-        w.kv("threads", config.threads);
-        w.kv("wall_seconds", result.wallSeconds);
-        w.kv("ops_per_sec",
-             result.wallSeconds > 0.0
-                 ? static_cast<double>(result.ops) /
-                       result.wallSeconds
-                 : 0.0);
-        w.key("latency_us");
-        w.beginArray();
-        for (std::size_t t = 0; t < result.tenants.size(); ++t) {
-            w.beginObject();
-            w.kv("tenant", static_cast<std::uint64_t>(t));
-            const telemetry::Histogram *h =
-                result.metrics
-                    ? &const_cast<telemetry::MetricsRegistry &>(
-                           *result.metrics)
-                           .histogram("serve.latency_ns.t" +
-                                          std::to_string(t),
-                                      {})
-                    : nullptr;
-            const double scale = 1.0 / 1000.0;
-            w.kv("p50", h ? h->quantile(0.50) * scale : 0.0);
-            w.kv("p95", h ? h->quantile(0.95) * scale : 0.0);
-            w.kv("p99", h ? h->quantile(0.99) * scale : 0.0);
-            // Bucket bounds + counts so consumers can reconstruct
-            // the distribution, not just read the quantiles.
-            if (h) {
-                std::vector<double> bounds_us(h->bounds());
-                for (double &b : bounds_us)
-                    b *= scale;
-                w.kv("bounds_us",
-                     std::span<const double>(bounds_us));
-                std::vector<std::uint64_t> buckets(
-                    h->numBuckets());
-                for (std::size_t i = 0; i < buckets.size(); ++i)
-                    buckets[i] = h->bucketCount(i);
-                w.kv("buckets",
-                     std::span<const std::uint64_t>(buckets));
-                w.kv("count", h->count());
-            }
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-    }
-
-    w.endObject();
-    os << '\n';
 }
 
 } // namespace prism::serve

@@ -23,10 +23,15 @@
  * victim draws and the control loop run sequentially, and each
  * shard's eviction task depends only on that shard's plan, every
  * deterministic output is byte-identical at any `--threads` for a
- * fixed op budget. Wall-clock metrics (latency histograms,
- * throughput) are collected only when timing is on and live in the
- * JSON "timing" section, which — like ".wall_ns" counters elsewhere
- * — is excluded from the deterministic document (docs/SERVING.md).
+ * fixed op budget. Wall-clock metrics (the per-tenant latency
+ * histograms in ServeResult::metrics, the run's wall time) are
+ * collected only when timing is on; a run without timing registers
+ * no histogram, so its metrics snapshots stay deterministic
+ * (docs/SERVING.md).
+ *
+ * The engine writes no document itself: the live observer
+ * (analysis/online_doctor.hh) renders the run as prism-metrics-v1
+ * snapshots, the final one with the whole run's interval rows.
  */
 
 #ifndef PRISM_SERVE_SERVE_ENGINE_HH
@@ -34,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -82,7 +86,8 @@ struct ServeConfig
 
     /** Collect wall-clock latency/throughput (non-deterministic). */
     bool timing = true;
-    /** Interval-recorder ring capacity. */
+    /** Interval-recorder ring capacity; also the number of interval
+     *  rows a final metrics snapshot keeps as the run's history. */
     std::size_t recorderCapacity = 4096;
     /** Ghost-list keys per tenant per shard. */
     std::uint32_t ghostPerTenant = 1024;
@@ -98,7 +103,7 @@ struct ServeConfig
      * Cooperative stop flag (the shared SIGINT/SIGTERM handler,
      * common/stop_signal.hh). Polled at every round boundary; a
      * raised flag ends the run after the usual tail-interval close,
-     * so the final document and metrics snapshot still get written.
+     * so the final metrics snapshot still gets written.
      * Non-owning; null = never stops early.
      */
     const std::atomic<bool> *stopFlag = nullptr;
@@ -137,6 +142,8 @@ struct ServeLiveState
 
     std::uint64_t occupancyBytes = 0;
     std::uint64_t objects = 0;
+    /** Store hash-table growths so far. */
+    std::uint64_t rehashes = 0;
 
     std::uint64_t droppedSamples = 0;
     std::uint64_t droppedEvents = 0;
@@ -172,7 +179,8 @@ class ServeObserver
      * An allocation interval closed (after the arbiter recompute, so
      * @p state carries the *next* distribution while @p sample holds
      * the one in effect during the interval). @p evictions is the
-     * closed interval's per-tenant eviction row.
+     * closed interval's per-tenant eviction row, valid for the call
+     * only.
      */
     virtual void
     onIntervalClosed(const telemetry::IntervalSample &sample,
@@ -186,16 +194,10 @@ class ServeObserver
     virtual void onRunEnd(const ServeLiveState &state) { (void)state; }
 };
 
-/** The outcome of one serve run: the final live state plus the
- *  whole-run series. */
+/** The outcome of one serve run: the final live state (its recorder
+ *  holds the interval series) plus the run's wall time. */
 struct ServeResult : ServeLiveState
 {
-    std::uint64_t rehashes = 0;
-
-    /** Per-interval per-tenant evictions, parallel to the recorded
-     *  interval samples (same truncation when the ring wraps). */
-    std::vector<std::vector<std::uint64_t>> intervalEvictions;
-
     /** Wall-clock seconds spent serving; 0 without timing. */
     double wallSeconds = 0.0;
 
@@ -214,14 +216,6 @@ class ServeEngine
   private:
     ServeConfig config_;
 };
-
-/**
- * Serialise @p result as a `prism-serve-v1` document. The document
- * is byte-deterministic for a fixed op budget; the non-deterministic
- * "timing" section is appended only when the run collected timing.
- */
-void writeServeJson(std::ostream &os, const ServeConfig &config,
-                    const ServeResult &result);
 
 } // namespace prism::serve
 

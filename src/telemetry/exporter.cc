@@ -194,6 +194,7 @@ MetricsExporter::writeJson(std::ostream &os,
         w.kv("occupancy_bytes", snap.occupancyBytes);
         w.kv("capacity_bytes", snap.capacityBytes);
         w.kv("objects", snap.objects);
+        w.kv("rehashes", snap.rehashes);
         w.endObject();
 
         w.key("tenants");
@@ -226,6 +227,10 @@ MetricsExporter::writeJson(std::ostream &os,
     if (snap.window) {
         w.key("window");
         writeWindowSeries(w, *snap.window);
+    }
+    if (snap.history) {
+        w.key("history");
+        writeWindowSeries(w, *snap.history);
     }
 
     if (!snap.doctorOverall.empty()) {

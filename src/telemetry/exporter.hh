@@ -8,7 +8,10 @@
  * engine's live observer, or prism_bench's sweep observer) from
  * state that is itself deterministic — cumulative totals, the
  * SlidingWindow, the MetricsRegistry — and keyed by the round index,
- * never the wall clock. Rendering walks fixed key orders and sorted
+ * never the wall clock. A serve run's final snapshot is its only
+ * document: besides the live window it carries a "history" section,
+ * the run's interval rows up to the recorder capacity, which the
+ * doctor grades instead of the window. Rendering walks fixed key orders and sorted
  * metric names through JsonWriter, so the same round of the same run
  * produces byte-identical files at any --threads value, and the live
  * plane can be golden-tested like the offline artifacts
@@ -88,6 +91,7 @@ struct MetricsSnapshot
     std::uint64_t occupancyBytes = 0;
     std::uint64_t capacityBytes = 0;
     std::uint64_t objects = 0;
+    std::uint64_t rehashes = 0;
     std::vector<TenantLiveState> tenants;
 
     // Sweep progress; rendered when jobsTotal > 0 (bench source).
@@ -99,6 +103,8 @@ struct MetricsSnapshot
 
     /** Live window; adds per-tenant window stats + series section. */
     const SlidingWindow *window = nullptr;
+    /** Whole-run interval rows ("history"); final snapshots only. */
+    const SlidingWindow *history = nullptr;
 
     // Online-doctor verdict; rendered when doctorOverall non-empty.
     std::string doctorOverall;

@@ -3,9 +3,8 @@
  * Sliding-window aggregator over the live interval stream.
  *
  * The serve engine closes one IntervalSample per allocation interval
- * (docs/SERVING.md). The offline pipeline records them all and
- * grades the run post-hoc; the live observability plane instead
- * keeps the last K intervals in a ring and maintains, per tenant:
+ * (docs/SERVING.md). The live observability plane keeps the last K
+ * intervals in a ring and maintains, per tenant:
  *
  *   - rolling hit ratio, miss rate and fair slowdown over the window
  *   - E_i churn (mean |ΔE_i| between consecutive intervals)
@@ -22,6 +21,12 @@
  * Quantiles are exact over the retained window (sorted copy of at
  * most K values per query), not an approximate sketch: K is small
  * (default 64) and determinism is worth more here than O(log K).
+ *
+ * The serve observer keeps two windows over the same stream: the
+ * live one (K = --window) and the run's history (K = the engine's
+ * recorder capacity, default 4096). The history is read only once
+ * the run has ended: a final snapshot renders its rows and the
+ * doctor grades them.
  */
 
 #ifndef PRISM_TELEMETRY_WINDOW_HH

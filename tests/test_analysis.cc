@@ -387,6 +387,9 @@ TEST(RunSpecParse, RejectsBadInput)
     EXPECT_FALSE(parseRunSpec("--stats", spec).ok()); // output flag
     EXPECT_FALSE(
         parseRunSpec("--faults nosuchkind@2", spec).ok());
+    // K-bit probabilities need K <= 31; 2^32 + 6 once narrowed to 6.
+    EXPECT_FALSE(parseRunSpec("--bits 32", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--bits 4294967302", spec).ok());
     // Default spec is the 4-core paper machine under PriSM-H.
     ASSERT_TRUE(parseRunSpec("", spec).ok());
     EXPECT_EQ(spec.scheme, SchemeKind::PrismH);

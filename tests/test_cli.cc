@@ -163,6 +163,19 @@ TEST(Cli, MalformedNumberFails)
     EXPECT_NE(out.find("12x34"), std::string::npos);
 }
 
+TEST(Cli, BitsOutOfRangeFailsBeforeTheRun)
+{
+    // --bits 32 once ran the stand-alone references and the warm-up
+    // before the codec refused it at the first recompute (exit 1).
+    const auto [code, out] = run(
+        "--mix 403.gcc,186.crafty --instr 50000 --warmup 10000 "
+        "--interval 200 --bits 32");
+    EXPECT_EQ(code, 2);
+    EXPECT_NE(out.find("[0, 31]"), std::string::npos) << out;
+    EXPECT_EQ(out.find("ANTT"), std::string::npos)
+        << "a usage error must not print a results table: " << out;
+}
+
 TEST(Cli, MixCoreCountMismatchFails)
 {
     const auto [code, out] =

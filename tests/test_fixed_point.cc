@@ -101,3 +101,13 @@ TEST(FixedPoint, SixBitsCloseToFloat)
     for (int i = 0; i < 16; ++i)
         EXPECT_NEAR(q[i], dist[i], 0.02);
 }
+
+TEST(FixedPointDeathTest, OutOfRangeBitsAreFatalBeforeTheShift)
+{
+    // 2^K - 1 needs K <= 31 in 32 bits; the range check runs before
+    // the shift, which is undefined from K = 32 on.
+    for (unsigned bits : {0u, 32u, 40u})
+        EXPECT_EXIT(FixedPointCodec{bits},
+                    testing::ExitedWithCode(1), "bits out of range")
+            << bits;
+}

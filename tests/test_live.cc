@@ -3,11 +3,12 @@
  * Live observability plane, in-process: ServeLiveObserver snapshots
  * must be byte-identical at 1, 2 and 8 engine threads; the online
  * doctor's verdict must match what offline analyze() computes from
- * the very snapshot it was embedded in (the acceptance criterion of
- * docs/OBSERVABILITY.md, "Live metrics & online doctor"); the
- * committed METRICS_fixture.json golden pins the prism-metrics-v1
- * format; and a raised stop flag ends the run at the next round
- * boundary with the final snapshot still written.
+ * the very snapshot it was embedded in, periodic or final (the
+ * acceptance criterion of docs/OBSERVABILITY.md, "Live metrics &
+ * online doctor"); only the final snapshot carries the whole run's
+ * rows as "history"; the committed METRICS_fixture.json golden pins
+ * the prism-metrics-v1 format; and a raised stop flag ends the run
+ * at the next round boundary with the final snapshot still written.
  *
  * Regenerate the golden after an intentional format change:
  *   PRISM_UPDATE_GOLDEN=1 build/tests/test_live \
@@ -19,6 +20,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -37,7 +39,7 @@ namespace
 {
 
 /** The eviction-heavy serve fixture (test_serve_determinism), with
- *  the op budget rounded to whole rounds: 48 rounds, 9 intervals. */
+ *  the op budget rounded to whole rounds: 48 rounds, 11 intervals. */
 ServeConfig
 fixtureConfig()
 {
@@ -107,6 +109,103 @@ runLive(ServeConfig config, std::uint32_t threads,
     return out;
 }
 
+/**
+ * Forwards every hook to a ServeLiveObserver and renders a periodic
+ * snapshot at the end of the round in which interval @p at closed,
+ * so the snapshot's embedded verdict grades that round's state.
+ */
+class PeriodicTap final : public ServeObserver
+{
+  public:
+    PeriodicTap(ServeLiveObserver &inner, std::uint64_t at)
+        : inner_(inner), at_(at)
+    {
+    }
+
+    void
+    onIntervalClosed(const telemetry::IntervalSample &sample,
+                     std::span<const std::uint64_t> evictions,
+                     const ServeLiveState &state) override
+    {
+        inner_.onIntervalClosed(sample, evictions, state);
+        if (state.intervals == at_)
+            round_ = state.rounds;
+    }
+
+    void
+    onRoundEnd(const ServeLiveState &state) override
+    {
+        inner_.onRoundEnd(state);
+        if (state.rounds != round_)
+            return;
+        json = renderSnapshot(inner_);
+        if (inner_.doctorEnabled())
+            verdictJson = renderVerdict(inner_.doctor().verdict());
+    }
+
+    void
+    onRunEnd(const ServeLiveState &state) override
+    {
+        inner_.onRunEnd(state);
+    }
+
+    std::string json;
+    std::string verdictJson;
+
+  private:
+    ServeLiveObserver &inner_;
+    std::uint64_t at_;
+    std::uint64_t round_ = 0;
+};
+
+/** A fixture run whose window (4) is shorter than its 11 intervals:
+ *  the periodic snapshot after interval 6, then the final one, each
+ *  with the online verdict it embeds. */
+struct TappedRun
+{
+    ServeResult result;
+    std::string periodicJson;
+    std::string periodicVerdictJson;
+    std::string finalJson;
+    std::string finalVerdictJson;
+};
+
+TappedRun
+runTapped(LiveObserverOptions live)
+{
+    live.windowCapacity = 4;
+    ServeConfig config = fixtureConfig();
+    config.threads = 2;
+    ServeLiveObserver observer(config, live);
+    PeriodicTap tap(observer, 6);
+    config.observer = &tap;
+    TappedRun out;
+    out.result = ServeEngine(config).run();
+    out.periodicJson = tap.json;
+    out.periodicVerdictJson = tap.verdictJson;
+    out.finalJson = renderSnapshot(observer);
+    if (observer.doctorEnabled())
+        out.finalVerdictJson =
+            renderVerdict(observer.doctor().verdict());
+    return out;
+}
+
+/**
+ * Re-grade a snapshot exactly the way `prism_doctor FILE` does:
+ * parse, lift a RunSeries out of prism-metrics-v1, run analyze()
+ * with the same thresholds.
+ */
+std::string
+offlineVerdict(const std::string &snapshotJson,
+               const DoctorThresholds &thresholds)
+{
+    JsonValue doc;
+    RunSeries series;
+    EXPECT_TRUE(parseJson(snapshotJson, doc).ok());
+    EXPECT_TRUE(seriesFromMetricsJson(doc, series).ok());
+    return renderVerdict(analyze(series, thresholds));
+}
+
 } // namespace
 
 TEST(LivePlane, SnapshotIsByteIdenticalAcrossThreadCounts)
@@ -151,11 +250,58 @@ TEST(LivePlane, SnapshotCarriesTheSectionsTheFixtureExercises)
                     .at(std::size_t{0})
                     .at("window")
                     .isObject());
+    EXPECT_EQ(doc.at("totals").at("rehashes").asU64(),
+              live.result.rehashes);
     EXPECT_EQ(doc.at("window").at("size").asU64(),
               live.result.intervals)
         << "the fixture closes fewer intervals than the window "
            "capacity, so all of them stay retained";
+    EXPECT_EQ(doc.at("history").at("size").asU64(),
+              live.result.intervals);
     EXPECT_FALSE(doc.at("doctor").at("overall").asString().empty());
+}
+
+TEST(LivePlane, OnlyTheFinalSnapshotCarriesTheWholeRun)
+{
+    const TappedRun run = runTapped(liveOptions());
+    ASSERT_EQ(run.result.intervals, 11u);
+
+    JsonValue periodic;
+    ASSERT_FALSE(run.periodicJson.empty());
+    ASSERT_TRUE(parseJson(run.periodicJson, periodic).ok());
+    EXPECT_EQ(periodic.at("intervals").asU64(), 6u);
+    EXPECT_EQ(periodic.at("window").at("size").asU64(), 4u);
+    EXPECT_TRUE(periodic.at("history").isNull())
+        << "periodic snapshots stay window-sized";
+
+    JsonValue final_doc;
+    ASSERT_TRUE(parseJson(run.finalJson, final_doc).ok());
+    EXPECT_EQ(final_doc.at("window").at("size").asU64(), 4u);
+    const JsonValue &history = final_doc.at("history");
+    EXPECT_EQ(history.at("capacity").asU64(), 4096u)
+        << "the history keeps as many rows as the recorder ring";
+    EXPECT_EQ(history.at("size").asU64(), 11u);
+    EXPECT_EQ(history.at("pushed").asU64(), 11u);
+    ASSERT_EQ(history.at("interval").size(), 11u);
+    EXPECT_EQ(history.at("interval").at(std::size_t{0}).asU64(), 1u);
+    EXPECT_EQ(history.at("evictions").size(), 11u);
+
+    // The doctor grades the history: the invariant check spans
+    // every interval, not the four the window kept.
+    RunSeries series;
+    ASSERT_TRUE(seriesFromMetricsJson(final_doc, series).ok());
+    EXPECT_EQ(series.interval.size(), 11u);
+    bool found = false;
+    for (const JsonValue &f :
+         final_doc.at("doctor").at("findings").elements())
+        if (f.at("check").asString() == "invariants.sum_e") {
+            found = true;
+            EXPECT_NE(f.at("detail").asString().find(
+                          "across 11 intervals"),
+                      std::string::npos)
+                << f.at("detail").asString();
+        }
+    EXPECT_TRUE(found);
 }
 
 TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
@@ -164,19 +310,21 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
     LiveObserverOptions live = liveOptions();
     const LiveRun run = runLive(config, 2, live);
 
-    // Re-grade the snapshot exactly the way `prism_doctor FILE`
-    // does: parse, lift a RunSeries out of prism-metrics-v1, run
-    // analyze() with the same thresholds.
-    JsonValue doc;
-    ASSERT_TRUE(parseJson(run.snapshotJson, doc).ok());
-    RunSeries series;
-    ASSERT_TRUE(seriesFromMetricsJson(doc, series).ok());
-    const Verdict offline = analyze(series, live.thresholds);
-
     ASSERT_FALSE(run.verdictJson.empty());
-    EXPECT_EQ(run.verdictJson, renderVerdict(offline))
+    EXPECT_EQ(run.verdictJson,
+              offlineVerdict(run.snapshotJson, live.thresholds))
         << "the embedded online verdict must equal the offline "
            "re-analysis of the same snapshot";
+
+    // The same parity when the window is shorter than the run: a
+    // periodic snapshot is graded over its window, the final one
+    // over the run's history.
+    const TappedRun tapped = runTapped(live);
+    ASSERT_FALSE(tapped.periodicVerdictJson.empty());
+    EXPECT_EQ(tapped.periodicVerdictJson,
+              offlineVerdict(tapped.periodicJson, live.thresholds));
+    EXPECT_EQ(tapped.finalVerdictJson,
+              offlineVerdict(tapped.finalJson, live.thresholds));
 }
 
 TEST(LivePlane, RaisedStopFlagEndsTheRunWithSnapshotIntact)

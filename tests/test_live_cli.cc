@@ -4,7 +4,8 @@
  * `prism_serve --metrics-out` snapshots must be byte-identical at 1
  * and 8 threads for a fixed op budget, `prism_top --once` must
  * render them, `prism_doctor` must autodetect the prism-metrics-v1
- * schema, and the flag-validation exits must hold.
+ * schema and grade a final snapshot exactly as `prism_serve
+ * --doctor` graded the run, and the flag-validation exits must hold.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +30,9 @@ namespace
 #define PRISM_DOCTOR_BIN_DEFAULT "tools/prism_doctor"
 #endif
 
-/** The serve fixture (test_serve_determinism), whole-round budget. */
+/** The serve fixture's store (test_serve_determinism) with three
+ *  identical tenants and a whole-round budget: 48 rounds, 9
+ *  intervals. */
 const char *const kFixtureFlags =
     "--tenants 3 --keys 40000 --capacity-mb 4 --shards 16 "
     "--streams 8 --batch 1024 --interval 8192 --ops 393216 "
@@ -98,7 +101,7 @@ serveWithMetrics(const std::string &dir, const std::string &tag,
 {
     const std::string cmd =
         serveBin() + " " + kFixtureFlags + " --threads " +
-        std::to_string(threads) + " --live-doctor --window 64 " +
+        std::to_string(threads) + " --doctor --window 64 " +
         "--metrics-every 6 --metrics-out " + dir + "/" + tag +
         ".json --metrics-prom " + dir + "/" + tag + ".prom";
     const auto [code, out] = run(cmd);
@@ -172,6 +175,46 @@ TEST(LiveCli, DoctorAutodetectsMetricsSnapshots)
     run("rm -rf " + dir);
 }
 
+TEST(LiveCli, ServeDoctorEqualsDoctorOnTheFinalSnapshot)
+{
+    // --window 4 keeps 4 of the fixture's 9 intervals in the live
+    // window; both verdicts grade the final snapshot's history.
+    const std::string dir = tempDir();
+    const std::string snap = dir + "/final.json";
+    const auto [serve_code, serve_out] =
+        run(serveBin() + " " + kFixtureFlags +
+            " --doctor --window 4 --metrics-out " + snap);
+    const auto [doctor_code, doctor_out] =
+        run(doctorBin() + " " + snap);
+    EXPECT_EQ(serve_code, doctor_code) << serve_out << doctor_out;
+    EXPECT_FALSE(serve_out.empty());
+    EXPECT_EQ(serve_out, doctor_out)
+        << "prism_serve --doctor prints the final snapshot's verdict";
+    EXPECT_NE(doctor_out.find("across 9 intervals"),
+              std::string::npos)
+        << "the doctor grades the whole run: " << doctor_out;
+    run("rm -rf " + dir);
+}
+
+TEST(LiveCli, RemovedServeDocumentFlagsAreUsageErrors)
+{
+    // The final --metrics-out snapshot is the serve run's only
+    // document, and --doctor grades it online.
+    const std::string dir = tempDir();
+    const std::string json = dir + "/serve.json";
+    for (const std::string &cmd :
+         {serveBin() + " --ops 8192 --quiet --json " + json,
+          doctorBin() + " --serve " + json,
+          doctorBin() + " --metrics " + json}) {
+        const auto [code, out] = run(cmd);
+        EXPECT_EQ(code, 2) << cmd << ": " << out;
+        EXPECT_NE(out.find("unknown option"), std::string::npos)
+            << cmd << ": " << out;
+    }
+    EXPECT_FALSE(std::ifstream(json).is_open());
+    run("rm -rf " + dir);
+}
+
 TEST(LiveCli, MetricsEveryWithoutAnOutputIsAUsageError)
 {
     const auto [serve_code, serve_out] =
@@ -190,9 +233,9 @@ TEST(LiveCli, OutOfRangeCountsAreUsageErrors)
          {"--threads 4294967297", "--streams 4294967297",
           "--batch 4294967297", "--shards 2147483649",
           "--capacity-mb 17592186044416"}) {
-        const auto [code, out] = run(serveBin() +
-                                     " --ops 8192 --quiet --json " +
-                                     json + " " + flag);
+        const auto [code, out] =
+            run(serveBin() + " --ops 8192 --quiet --metrics-out " +
+                json + " " + flag);
         EXPECT_EQ(code, 2) << flag << ": " << out;
         EXPECT_NE(out.find("must be in [1, "), std::string::npos)
             << flag << ": " << out;
@@ -212,7 +255,7 @@ TEST(LiveCli, NegativeCountsAreUsageErrors)
     const std::string json = dir + "/serve.json";
     const auto [serve_code, serve_out] =
         run(serveBin() + " --tenants 1 --keys 1000 --ops 20000 "
-                         "--no-timing --seed -1 --json " +
+                         "--no-timing --seed -1 --metrics-out " +
             json);
     EXPECT_EQ(serve_code, 2) << serve_out;
     EXPECT_FALSE(std::ifstream(json).is_open())
@@ -244,7 +287,7 @@ TEST(LiveCli, SecondsTheClockCannotHoldAreUsageErrors)
     for (const char *seconds : {"inf", "nan", "1e300"}) {
         const auto [code, out] =
             run(serveBin() + " --tenants 1 --keys 1000 --seconds " +
-                seconds + " --json " + json);
+                seconds + " --metrics-out " + json);
         EXPECT_EQ(code, 2) << seconds << ": " << out;
         EXPECT_NE(out.find("--seconds must be"), std::string::npos)
             << seconds << ": " << out;

@@ -3,19 +3,22 @@
  * The serving plane's determinism and statistical contracts
  * (docs/SERVING.md):
  *
- *  1. For a fixed op budget with timing off, the `prism-serve-v1`
- *     document is byte-identical at 1, 2 and 8 worker threads —
- *     logical streams own the RNGs, so threads are pure machinery.
+ *  1. For a fixed op budget with timing off, the run's document —
+ *     the live observer's final `prism-metrics-v1` snapshot, with the
+ *     whole run's interval rows under "history" — is byte-identical
+ *     at 1, 2 and 8 worker threads: logical streams own the RNGs, so
+ *     threads are pure machinery.
  *  2. Realised victim-tenant eviction frequencies match Equation 1's
  *     E_i: per interval, victims are drawn from the distribution the
  *     arbiter had in effect, so summing E_i-weighted expectations
  *     over intervals predicts the per-tenant eviction totals to
  *     chi-square precision (the serving analogue of the simulator's
  *     Core-Selection validation).
- *  3. The documents for policies H, F and Q at the fixture config,
- *     and at a config whose evictions often take the victimless
- *     fallback, match the committed SERVE_fixture.json byte for byte
- *     at 1 and 8 threads. Regenerate after an intentional change with
+ *  3. The final snapshots for policies H, F and Q at the fixture
+ *     config, and at a config whose evictions often take the
+ *     victimless fallback, match the committed SERVE_fixture.json
+ *     byte for byte at 1 and 8 threads. Regenerate after an
+ *     intentional change with
  *       PRISM_UPDATE_GOLDEN=1 build/tests/test_serve_determinism \
  *           --gtest_filter=ServeGolden.*
  */
@@ -29,7 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/online_doctor.hh"
 #include "serve/serve_engine.hh"
+#include "telemetry/exporter.hh"
 
 using namespace prism;
 using namespace prism::serve;
@@ -83,18 +88,30 @@ victimlessConfig()
     return config;
 }
 
-std::string
-runToJson(ServeConfig config, std::uint32_t threads,
-          ServeResult *result_out = nullptr)
+/** One run under the live observer, as prism_serve makes it. */
+struct ServeRun
+{
+    ServeResult result;
+    /** The final snapshot: the run's document. */
+    std::string json;
+    /** The observer's history rows, oldest first. */
+    std::vector<telemetry::SlidingWindow::Row> history;
+};
+
+ServeRun
+runServe(ServeConfig config, std::uint32_t threads)
 {
     config.threads = threads;
-    ServeEngine engine(config);
-    ServeResult result = engine.run();
+    analysis::ServeLiveObserver observer(config, {});
+    config.observer = &observer;
+    ServeRun out;
+    out.result = ServeEngine(config).run();
     std::ostringstream os;
-    writeServeJson(os, config, result);
-    if (result_out != nullptr)
-        *result_out = result;
-    return os.str();
+    telemetry::MetricsExporter::writeJson(os, observer.snapshot());
+    out.json = os.str();
+    for (std::size_t i = 0; i < observer.history().size(); ++i)
+        out.history.push_back(observer.history().row(i));
+    return out;
 }
 
 } // namespace
@@ -102,11 +119,11 @@ runToJson(ServeConfig config, std::uint32_t threads,
 TEST(ServeDeterminism, JsonIsByteIdenticalAcrossThreadCounts)
 {
     const ServeConfig config = fixtureConfig();
-    const std::string t1 = runToJson(config, 1);
-    const std::string t2 = runToJson(config, 2);
-    const std::string t8 = runToJson(config, 8);
+    const std::string t1 = runServe(config, 1).json;
+    const std::string t2 = runServe(config, 2).json;
+    const std::string t8 = runServe(config, 8).json;
 
-    EXPECT_GT(t1.size(), 0u);
+    EXPECT_NE(t1.find("\"history\""), std::string::npos);
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t8);
 }
@@ -114,42 +131,35 @@ TEST(ServeDeterminism, JsonIsByteIdenticalAcrossThreadCounts)
 TEST(ServeDeterminism, SeedChangesTheRun)
 {
     ServeConfig config = fixtureConfig();
-    const std::string a = runToJson(config, 2);
+    const std::string a = runServe(config, 2).json;
     config.seed = 2013;
-    const std::string b = runToJson(config, 2);
+    const std::string b = runServe(config, 2).json;
     EXPECT_NE(a, b);
 }
 
 TEST(ServeVictimMatch, EvictionFrequenciesFollowEq1)
 {
     const ServeConfig config = fixtureConfig();
-    ServeResult result;
-    runToJson(config, 4, &result);
-
-    ASSERT_NE(result.recorder, nullptr);
-    const std::size_t rows = result.recorder->size();
-    ASSERT_EQ(rows, result.intervalEvictions.size())
-        << "eviction rows must parallel the retained samples";
-    ASSERT_GT(result.evictions, 0u) << "fixture must evict";
+    const ServeRun run = runServe(config, 4);
+    ASSERT_GT(run.result.evictions, 0u) << "fixture must evict";
 
     // Expected per-tenant evictions: each interval's eviction count
     // weighted by the E distribution in effect during it (the
-    // recorded sample's evProb is exactly that, by the serve
-    // recording convention).
+    // recorded row's evProb is exactly that, by the serve recording
+    // convention).
     const std::size_t tenants = config.tenants.size();
     std::vector<double> expected(tenants, 0.0);
     std::vector<double> observed(tenants, 0.0);
-    for (std::size_t i = 0; i < rows; ++i) {
-        const auto &sample = result.recorder->sample(i);
-        ASSERT_EQ(sample.evProb.size(), tenants);
+    for (const telemetry::SlidingWindow::Row &row : run.history) {
+        ASSERT_EQ(row.evProb.size(), tenants);
+        ASSERT_EQ(row.evictions.size(), tenants);
         std::uint64_t row_total = 0;
-        for (const std::uint64_t v : result.intervalEvictions[i])
+        for (const std::uint64_t v : row.evictions)
             row_total += v;
         for (std::size_t t = 0; t < tenants; ++t) {
             expected[t] +=
-                sample.evProb[t] * static_cast<double>(row_total);
-            observed[t] += static_cast<double>(
-                result.intervalEvictions[i][t]);
+                row.evProb[t] * static_cast<double>(row_total);
+            observed[t] += static_cast<double>(row.evictions[t]);
         }
     }
 
@@ -172,20 +182,25 @@ TEST(ServeVictimMatch, EvictionFrequenciesFollowEq1)
 
 TEST(ServeVictimMatch, TenantEvictionTotalsAreConsistent)
 {
-    const ServeConfig config = fixtureConfig();
-    ServeResult result;
-    runToJson(config, 2, &result);
+    const ServeRun run = runServe(fixtureConfig(), 2);
+    const ServeResult &result = run.result;
 
-    // Per-tenant totals must sum to the run total, and with no ring
-    // wrap every interval row must be retained.
+    // Per-tenant totals must sum to the run total; with no ring wrap
+    // every interval row is retained, and the rows hold every
+    // eviction (the last round's fall in the tail interval).
     std::uint64_t sum = 0;
     for (const TenantTotals &t : result.tenants)
         sum += t.evictions;
     EXPECT_EQ(sum, result.evictions);
-    EXPECT_EQ(result.intervals, result.intervalEvictions.size());
+    ASSERT_EQ(result.intervals, run.history.size());
+    std::uint64_t in_rows = 0;
+    for (const telemetry::SlidingWindow::Row &row : run.history)
+        for (const std::uint64_t v : row.evictions)
+            in_rows += v;
+    EXPECT_EQ(in_rows, result.evictions);
 }
 
-// --- Golden prism-serve-v1 documents ------------------------------
+// --- Golden final snapshots ---------------------------------------
 
 #ifndef PRISM_SERVE_GOLDEN_DEFAULT
 #define PRISM_SERVE_GOLDEN_DEFAULT "tests/golden/SERVE_fixture.json"
@@ -195,8 +210,8 @@ namespace
 {
 
 /**
- * The H, F and Q documents of the fixture config, then those of the
- * victimless config, as one JSON array.
+ * The H, F and Q final snapshots of the fixture config, then those
+ * of the victimless config, as one JSON array.
  */
 std::string
 policyDocuments(std::uint32_t threads)
@@ -207,10 +222,8 @@ policyDocuments(std::uint32_t threads)
         for (const char policy : {'H', 'F', 'Q'}) {
             ServeConfig config = base;
             config.policy = policy;
-            std::string doc = runToJson(config, threads);
-            doc.pop_back(); // the document's trailing newline
             out += separator;
-            out += doc;
+            out += runServe(config, threads).json;
             separator = ",\n";
         }
     return out + "\n]\n";

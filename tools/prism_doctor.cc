@@ -4,9 +4,10 @@
  *
  * Consumes a recorded run (a `prism-stats-v1` statistics dump, a
  * `prism-trace-v1` Chrome trace, a `prism-bench-v1` sweep file, a
- * `prism-serve-v1` serving session (tools/prism_serve), or a
- * `prism-ckpt-v1` checkpoint via `--ckpt` — the schema is
- * auto-detected, `*.ckpt.json` included), or executes one fresh
+ * `prism-metrics-v1` snapshot — the final one of a prism_serve run
+ * grades the whole session — or a `prism-ckpt-v1` checkpoint; the
+ * schema is auto-detected, and a checkpoint is recognised by its
+ * `*.ckpt.json` name or forced with `--ckpt`), or executes one fresh
  * simulation in-process (`--run "<prism_sim flags>"`), and prints a
  * health report: occupancy-tracking convergence,
  * eviction-distribution stability, invariant drift, QoS/fairness
@@ -23,7 +24,7 @@
  *
  * Examples:
  *   prism_doctor stats.json
- *   prism_doctor --trace trace.json
+ *   prism_doctor trace.json
  *   prism_doctor --run "--workload Q7 --scheme PriSM-H"
  *   prism_doctor --compare golden.json fresh.json --tolerance ipc=1e-6
  *
@@ -58,15 +59,8 @@ usage(std::ostream &os)
         "usage: prism_doctor [FILE] [options]\n"
         "       prism_doctor --compare BASELINE CANDIDATE [options]\n"
         "  FILE                 prism-stats-v1, prism-trace-v1,\n"
-        "                       prism-bench-v1, prism-serve-v1 or\n"
-        "                       prism-metrics-v1 JSON "
-        "(auto-detected)\n"
-        "  --stats FILE         force prism-stats-v1 input\n"
-        "  --trace FILE         force prism-trace-v1 input\n"
-        "  --bench FILE         force prism-bench-v1 input\n"
-        "  --serve FILE         force prism-serve-v1 input\n"
-        "  --metrics FILE       force prism-metrics-v1 input (a live\n"
-        "                       snapshot written by --metrics-out)\n"
+        "                       prism-bench-v1 or prism-metrics-v1\n"
+        "                       JSON (auto-detected from its schema)\n"
         "  --ckpt FILE          validate a prism-ckpt-v1 sweep\n"
         "                       checkpoint (*.ckpt.json paths are\n"
         "                       auto-detected); a corrupt file is a\n"
@@ -116,19 +110,16 @@ loadJson(const std::string &path)
 
 enum class InputKind
 {
-    Auto,
     Stats,
     Trace,
     Bench,
-    Serve,
     Metrics,
-    Ckpt,
 };
 
 struct Options
 {
     std::string file;
-    InputKind kind = InputKind::Auto;
+    bool ckpt = false; ///< --ckpt: validate FILE as a checkpoint
     std::string run;
     std::string compare_a, compare_b;
     bool compare = false;
@@ -145,8 +136,6 @@ detectKind(const JsonValue &doc, const std::string &path)
         return InputKind::Stats;
     if (schema == "prism-bench-v1")
         return InputKind::Bench;
-    if (schema == "prism-serve-v1")
-        return InputKind::Serve;
     if (schema == "prism-metrics-v1")
         return InputKind::Metrics;
     if (doc.at("otherData").at("schema").asString() ==
@@ -154,7 +143,7 @@ detectKind(const JsonValue &doc, const std::string &path)
         return InputKind::Trace;
     std::cerr << "prism_doctor: " << path
               << ": unrecognised document (expected prism-stats-v1, "
-                 "prism-trace-v1, prism-bench-v1, prism-serve-v1 or "
+                 "prism-trace-v1, prism-bench-v1 or "
                  "prism-metrics-v1)\n";
     std::exit(2);
 }
@@ -272,24 +261,9 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
-        } else if (arg == "--stats") {
-            opt.file = value();
-            opt.kind = InputKind::Stats;
-        } else if (arg == "--trace") {
-            opt.file = value();
-            opt.kind = InputKind::Trace;
-        } else if (arg == "--bench") {
-            opt.file = value();
-            opt.kind = InputKind::Bench;
-        } else if (arg == "--serve") {
-            opt.file = value();
-            opt.kind = InputKind::Serve;
-        } else if (arg == "--metrics") {
-            opt.file = value();
-            opt.kind = InputKind::Metrics;
         } else if (arg == "--ckpt") {
             opt.file = value();
-            opt.kind = InputKind::Ckpt;
+            opt.ckpt = true;
         } else if (arg == "--run") {
             opt.run = value();
         } else if (arg == "--compare") {
@@ -350,34 +324,20 @@ main(int argc, char **argv)
             cliError("more than one input file given");
         }
 
-        InputKind kind = opt.kind;
         // Checkpoints are validated before JSON parsing: a torn
         // write must surface as a FAIL verdict, not an exit-2
         // parse error.
-        if (kind == InputKind::Auto && endsWith(opt.file, ".ckpt.json"))
-            kind = InputKind::Ckpt;
-        if (kind == InputKind::Ckpt) {
+        if (opt.ckpt || endsWith(opt.file, ".ckpt.json")) {
             source = "ckpt";
             jobs.push_back(checkCheckpoint(opt.file));
         } else {
             const JsonValue doc = loadJson(opt.file);
-            if (kind == InputKind::Auto)
-                kind = detectKind(doc, opt.file);
-
             Status st;
-            switch (kind) {
+            switch (detectKind(doc, opt.file)) {
               case InputKind::Stats: {
                 source = "stats";
                 RunSeries s;
                 st = seriesFromStatsJson(doc, s);
-                if (st.ok())
-                    jobs.push_back(analyze(s, thresholds));
-                break;
-              }
-              case InputKind::Serve: {
-                source = "serve";
-                RunSeries s;
-                st = seriesFromServeJson(doc, s);
                 if (st.ok())
                     jobs.push_back(analyze(s, thresholds));
                 break;
@@ -400,12 +360,6 @@ main(int argc, char **argv)
               }
               case InputKind::Bench: {
                 source = "bench";
-                if (doc.at("schema").asString() !=
-                    "prism-bench-v1") {
-                    st = Status::error(
-                        "not a prism-bench-v1 document");
-                    break;
-                }
                 for (const JsonValue &job :
                      doc.at("jobs").elements()) {
                     // Quarantined/skipped jobs carry an "error"
@@ -429,9 +383,6 @@ main(int argc, char **argv)
                     jobs.push_back(analyzeExec(exec_series));
                 break;
               }
-              case InputKind::Auto:
-              case InputKind::Ckpt:
-                break;
             }
             if (!st.ok()) {
                 std::cerr << "prism_doctor: " << opt.file << ": "

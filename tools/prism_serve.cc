@@ -4,20 +4,22 @@
  *
  * Runs a closed-loop serving session: Zipfian tenant workloads
  * through the sharded store under the PriSM tenant arbiter
- * (docs/SERVING.md). Prints a human summary, optionally writes the
- * deterministic `prism-serve-v1` document, and with `--doctor`
- * grades the session in-process with the same checks
- * `prism_doctor FILE` would apply.
+ * (docs/SERVING.md). Prints a human summary; `--metrics-out PATH`
+ * leaves the run's final `prism-metrics-v1` snapshot in PATH, the
+ * serve run's one document, with its whole-run interval rows under
+ * "history". `--doctor` grades the run online and prints the final
+ * verdict, which is what `prism_doctor PATH` gives on that snapshot.
  *
- * Determinism: with `--ops N` (a fixed op budget) the document is
+ * Determinism: with `--ops N` (a fixed op budget) the snapshots are
  * byte-identical at any `--threads`; `--no-timing` additionally
- * drops the wall-clock section so whole files can be compared. With
- * `--seconds` the run length depends on the machine, so only the
- * per-run structure is stable.
+ * leaves out the wall-clock latency histograms so whole files can be
+ * compared. With `--seconds` the run length depends on the machine,
+ * so only the per-run structure is stable.
  *
  * Examples:
  *   prism_serve --tenants 4 --threads 8 --seconds 5
- *   prism_serve --tenants 2 --ops 1000000 --no-timing --json out.json
+ *   prism_serve --tenants 2 --ops 1000000 --no-timing \
+ *               --metrics-out serve.json
  *   prism_serve --tenant keys=100000,get=0.9,slo-hit=0.3 \
  *               --tenant keys=400000,floor=0.5 --policy Q --doctor
  *
@@ -30,16 +32,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/doctor.hh"
 #include "analysis/online_doctor.hh"
-#include "analysis/series.hh"
-#include "common/atomic_file.hh"
 #include "common/cancel.hh"
-#include "common/json.hh"
 #include "common/parse.hh"
 #include "common/stop_signal.hh"
 #include "serve/serve_engine.hh"
@@ -81,24 +79,23 @@ usage(std::ostream &os)
         "                       required for byte-identical "
         "output)\n"
         "  --seed N             base RNG seed (default 42)\n"
-        "  --json PATH          write the prism-serve-v1 document\n"
-        "                       ('-' for stdout)\n"
         "  --no-timing          skip wall-clock collection and the\n"
-        "                       non-deterministic timing section\n"
-        "  --doctor             diagnose the session in-process\n"
-        "  --metrics-out PATH   write prism-metrics-v1 snapshots\n"
+        "                       non-deterministic latency histograms\n"
+        "  --doctor             grade the run online after every\n"
+        "                       interval close and print the final\n"
+        "                       verdict (graded over the whole run)\n"
+        "  --metrics-out PATH   write prism-metrics-v1 snapshots; the\n"
+        "                       final one holds the whole run\n"
         "  --metrics-prom PATH  write Prometheus text snapshots\n"
         "  --metrics-every N    snapshot every N rounds (0 = final\n"
         "                       snapshot only; default 0)\n"
         "  --window K           live sliding-window capacity in\n"
         "                       intervals (default 64)\n"
-        "  --live-doctor        grade the run online after every\n"
-        "                       interval close (adds drift checks)\n"
         "  --quiet              suppress the human summary\n"
         "\n"
-        "SIGINT/SIGTERM stop the run at the next round boundary; all\n"
-        "requested outputs (document, metrics snapshots) are still\n"
-        "written, and the exit code is 130.\n";
+        "SIGINT/SIGTERM stop the run at the next round boundary; the\n"
+        "final metrics snapshots are still written, and the exit\n"
+        "code is 130.\n";
 }
 
 [[noreturn]] void
@@ -148,8 +145,6 @@ main(int argc, char **argv)
     TenantSpec base;
     std::vector<std::string> tenant_specs;
     std::uint64_t num_tenants = 4;
-    std::string json_path;
-    bool doctor = false;
     bool quiet = false;
     analysis::LiveObserverOptions live;
 
@@ -215,12 +210,10 @@ main(int argc, char **argv)
                 cliError("--ops must be positive");
         } else if (arg == "--seed") {
             config.seed = u64Arg(arg, value());
-        } else if (arg == "--json") {
-            json_path = value();
         } else if (arg == "--no-timing") {
             config.timing = false;
         } else if (arg == "--doctor") {
-            doctor = true;
+            live.onlineDoctor = true;
         } else if (arg == "--metrics-out") {
             live.metricsJsonPath = value();
             if (live.metricsJsonPath.empty())
@@ -236,8 +229,6 @@ main(int argc, char **argv)
                 u64Arg(arg, value()));
             if (live.windowCapacity == 0)
                 cliError("--window must be positive");
-        } else if (arg == "--live-doctor") {
-            live.onlineDoctor = true;
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -326,50 +317,13 @@ main(int argc, char **argv)
         }
     }
 
-    std::ostringstream doc;
-    writeServeJson(doc, config, result);
-
-    if (!json_path.empty()) {
-        if (json_path == "-") {
-            std::cout << doc.str();
-        } else if (const Status st =
-                       writeFileAtomic(json_path, doc.str());
-                   !st.ok()) {
-            std::cerr << "prism_serve: " << st.message() << "\n";
-            return 2;
-        }
-    }
-
     int rc = 0;
-
-    if (doctor) {
-        JsonValue parsed;
-        if (const Status st = parseJson(doc.str(), parsed);
-            !st.ok()) {
-            std::cerr << "prism_serve: internal: " << st.message()
-                      << "\n";
-            return 2;
-        }
-        analysis::RunSeries series;
-        if (const Status st =
-                analysis::seriesFromServeJson(parsed, series);
-            !st.ok()) {
-            std::cerr << "prism_serve: internal: " << st.message()
-                      << "\n";
-            return 2;
-        }
-        const analysis::Verdict verdict = analysis::analyze(series);
-        analysis::printReport(std::cout, verdict);
-        if (verdict.overall == analysis::FindingStatus::Fail)
-            rc = 1;
-    }
-
-    if (observer && observer->doctorEnabled() &&
-        observer->doctor().evaluated()) {
+    if (live.onlineDoctor) {
+        // Graded in onRunEnd over the whole run's history: the
+        // verdict prism_doctor gives on the final snapshot.
         const analysis::Verdict &verdict =
             observer->doctor().verdict();
-        if (!quiet)
-            analysis::printReport(std::cout, verdict);
+        analysis::printReport(std::cout, verdict);
         if (verdict.overall == analysis::FindingStatus::Fail)
             rc = 1;
     }

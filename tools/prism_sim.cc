@@ -255,7 +255,10 @@ main(int argc, char **argv)
         } else if (arg == "--seed") {
             opt.seed = parseU64(arg, value());
         } else if (arg == "--bits") {
-            opt.bits = parseUnsigned(arg, value());
+            const std::uint64_t bits = parseU64(arg, value());
+            if (bits > 31)
+                cliError("--bits must be in [0, 31]");
+            opt.bits = static_cast<unsigned>(bits);
         } else if (arg == "--qos-frac") {
             opt.qos_frac = parseDouble(arg, value());
         } else if (arg == "--faults") {
