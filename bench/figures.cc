@@ -195,29 +195,12 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
         if (has_reports && !outcome.reports[i].succeeded()) {
             // No result to analyse — report the execution failure.
             const JobReport &report = outcome.reports[i];
-            Verdict v;
-            v.run = job.id;
-            Finding f;
-            if (report.state == JobState::Quarantined) {
-                f.check = "exec.job_quarantined";
-                f.status = FindingStatus::Fail;
-                f.detail = "quarantined after " +
-                           std::to_string(report.attempts) +
-                           " attempts";
-                if (!report.failures.empty())
-                    f.detail +=
-                        " (last: " + report.failures.back().message +
-                        ")";
-            } else {
-                f.check = "exec.job_skipped";
-                f.status = FindingStatus::Warn;
-                f.detail = "not executed (shutdown requested)";
-            }
-            f.value = static_cast<double>(report.attempts);
-            f.hasValue = true;
-            v.findings.push_back(std::move(f));
-            v.overall = v.findings.back().status;
-            verdicts.push_back(std::move(v));
+            verdicts.push_back(failedJobVerdict(
+                job.id, report.state != JobState::Quarantined,
+                report.attempts,
+                report.failures.empty()
+                    ? ""
+                    : report.failures.back().message));
             continue;
         }
 

@@ -786,6 +786,32 @@ analyzeExec(const ExecSeries &s)
     return v;
 }
 
+Verdict
+failedJobVerdict(std::string_view id, bool skipped,
+                 std::uint64_t attempts, std::string_view lastFailure)
+{
+    Verdict v;
+    v.run = id;
+    Finding f;
+    if (skipped) {
+        f.check = "exec.job_skipped";
+        f.status = FindingStatus::Warn;
+        f.detail = "not executed (shutdown requested)";
+    } else {
+        f.check = "exec.job_quarantined";
+        f.status = FindingStatus::Fail;
+        f.detail =
+            "quarantined after " + std::to_string(attempts) + " attempts";
+        if (!lastFailure.empty())
+            f.detail += " (last: " + std::string(lastFailure) + ")";
+    }
+    f.value = static_cast<double>(attempts);
+    f.hasValue = true;
+    v.overall = f.status;
+    v.findings.push_back(std::move(f));
+    return v;
+}
+
 FindingStatus
 worstOf(const std::vector<Verdict> &jobs)
 {

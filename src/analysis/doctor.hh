@@ -133,6 +133,16 @@ Verdict analyze(const RunSeries &s, const DoctorThresholds &t = {});
  */
 Verdict analyzeExec(const ExecSeries &s);
 
+/**
+ * The verdict for sweep job @p id, which left no result to analyse:
+ * `exec.job_skipped` (WARN) when it never ran, otherwise
+ * `exec.job_quarantined` (FAIL) after @p attempts, naming
+ * @p lastFailure when there is one.
+ */
+Verdict failedJobVerdict(std::string_view id, bool skipped,
+                         std::uint64_t attempts,
+                         std::string_view lastFailure);
+
 /** Sweep roll-up: per-status job counts plus the worst overall. */
 Verdict rollup(const std::vector<Verdict> &jobs);
 

@@ -5,25 +5,6 @@
 namespace prism::analysis
 {
 
-namespace
-{
-
-/** Escalation order: Skip and Pass are quiet, Warn < Fail. */
-int
-severity(FindingStatus st)
-{
-    switch (st) {
-      case FindingStatus::Fail:
-        return 2;
-      case FindingStatus::Warn:
-        return 1;
-      default:
-        return 0;
-    }
-}
-
-} // namespace
-
 RunSeries
 OnlineDoctor::buildSeries(const telemetry::SlidingWindow &window,
                           const serve::ServeLiveState &state,
@@ -93,26 +74,6 @@ OnlineDoctor::evaluate(const telemetry::SlidingWindow &window,
     verdict_ =
         analyze(buildSeries(window, state, config), thresholds_);
     evaluated_ = true;
-
-    // Surface escalations on the trace timeline: one event per
-    // check whose status rose above its previous level.
-    const std::uint64_t interval = window.lastInterval();
-    for (const Finding &f : verdict_.findings) {
-        const auto prev = lastStatus_.find(f.check);
-        const int before =
-            prev == lastStatus_.end() ? 0 : severity(prev->second);
-        if (severity(f.status) > before && state.recorder) {
-            telemetry::TelemetryEvent ev;
-            ev.kind = f.status == FindingStatus::Fail
-                          ? telemetry::EventKind::DoctorFail
-                          : telemetry::EventKind::DoctorWarn;
-            ev.interval = interval;
-            ev.core = invalidCore;
-            ev.value = f.hasValue ? f.value : 0.0;
-            state.recorder->addEvent(ev);
-        }
-        lastStatus_[f.check] = f.status;
-    }
     return verdict_;
 }
 

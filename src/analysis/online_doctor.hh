@@ -13,17 +13,15 @@
  * the window's EWMA statistics.
  *
  * When the run ends, the observer grades its history instead: a
- * second window, sized to the engine's recorder capacity, that holds
+ * second window, sized to ServeConfig::recorderCapacity, that holds
  * every interval the run closed (up to that bound). The final
  * snapshot carries those rows as its "history" section, so it is the
  * serve run's whole-run document, and its embedded verdict is the
  * one prism_doctor computes from it.
  *
- * Check-status escalations (anything rising to WARN or FAIL) are
- * appended to the run's IntervalRecorder as DoctorWarn / DoctorFail
- * events, and the latest verdict is embedded in every metrics
- * snapshot, so the exposition file tells the operator *when* the
- * control loop went unhealthy.
+ * The latest verdict is embedded in every metrics snapshot, so the
+ * exposition file tells the operator *when* the control loop went
+ * unhealthy.
  *
  * Everything is evaluated in the engine's sequential sections from
  * deterministic state, so verdicts — like the snapshots — are
@@ -35,7 +33,6 @@
 #define PRISM_ANALYSIS_ONLINE_DOCTOR_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "analysis/doctor.hh"
@@ -67,11 +64,7 @@ class OnlineDoctor
                 const serve::ServeLiveState &state,
                 const serve::ServeConfig &config);
 
-    /**
-     * Re-grade the live state. Emits DoctorWarn/DoctorFail events
-     * into state.recorder (when present) for every check whose
-     * status escalated since the previous evaluation.
-     */
+    /** Re-grade the live state. */
     const Verdict &evaluate(const telemetry::SlidingWindow &window,
                             const serve::ServeLiveState &state,
                             const serve::ServeConfig &config);
@@ -87,8 +80,6 @@ class OnlineDoctor
     DoctorThresholds thresholds_;
     Verdict verdict_;
     bool evaluated_ = false;
-    /** Last seen status per check, for escalation detection. */
-    std::map<std::string, FindingStatus> lastStatus_;
 };
 
 /** What the live observer maintains and where it exports. */

@@ -1,7 +1,9 @@
 #include "analysis/run_spec.hh"
 
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/parse.hh"
@@ -12,37 +14,6 @@ namespace prism::analysis
 
 namespace
 {
-
-std::vector<std::string>
-tokenize(std::string_view text)
-{
-    std::vector<std::string> out;
-    std::istringstream in{std::string(text)};
-    std::string tok;
-    while (in >> tok)
-        out.push_back(tok);
-    return out;
-}
-
-Status
-parseU64(const std::string &flag, const std::string &text,
-         std::uint64_t &out)
-{
-    if (!prism::parseU64(text, out))
-        return Status::error("invalid number '" + text + "' for " +
-                             flag);
-    return Status();
-}
-
-Status
-parseDouble(const std::string &flag, const std::string &text,
-            double &out)
-{
-    if (!prism::parseDouble(text, out))
-        return Status::error("invalid number '" + text + "' for " +
-                             flag);
-    return Status();
-}
 
 std::vector<std::string>
 splitMix(const std::string &mix)
@@ -59,7 +30,7 @@ splitMix(const std::string &mix)
 } // namespace
 
 Status
-parseRunSpec(std::string_view text, RunSpec &out)
+parseRunSpec(std::span<const std::string> tokens, RunSpec &out)
 {
     out = RunSpec();
 
@@ -71,73 +42,56 @@ parseRunSpec(std::string_view text, RunSpec &out)
     std::uint64_t seed = 0x5EED0001ULL, bits = 0;
     double qos_frac = 0.8;
 
-    const std::vector<std::string> tokens = tokenize(text);
+    // Every flag but --checked takes a value: a name, a count or
+    // (--qos-frac) a fraction.
+    const std::map<std::string_view, std::string *> names{
+        {"--workload", &workload_name},
+        {"--mix", &mix},
+        {"--scheme", &scheme_name},
+        {"--repl", &repl_name},
+        {"--faults", &out.options.faultSpec}};
+    const std::map<std::string_view, std::uint64_t *> counts{
+        {"--cores", &cores},   {"--instr", &instr},
+        {"--warmup", &warmup}, {"--interval", &interval},
+        {"--seed", &seed},     {"--bits", &bits}};
+
     for (std::size_t i = 0; i < tokens.size(); ++i) {
         const std::string &flag = tokens[i];
-        auto value = [&](std::string &v) {
-            if (i + 1 >= tokens.size())
-                return Status::error("missing value for " + flag);
-            v = tokens[++i];
-            return Status();
-        };
-        std::string v;
-        Status st;
-        if (flag == "--cores") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, cores)).ok())
-                return st;
-            cores_set = true;
-        } else if (flag == "--workload") {
-            if (!(st = value(workload_name)).ok())
-                return st;
-        } else if (flag == "--mix") {
-            if (!(st = value(mix)).ok())
-                return st;
-        } else if (flag == "--scheme") {
-            if (!(st = value(scheme_name)).ok())
-                return st;
-        } else if (flag == "--repl") {
-            if (!(st = value(repl_name)).ok())
-                return st;
-        } else if (flag == "--instr") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, instr)).ok())
-                return st;
-        } else if (flag == "--warmup") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, warmup)).ok())
-                return st;
-        } else if (flag == "--interval") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, interval)).ok())
-                return st;
-        } else if (flag == "--seed") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, seed)).ok())
-                return st;
-        } else if (flag == "--bits") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseU64(flag, v, bits)).ok())
-                return st;
-            if (bits > 31)
-                return Status::error("--bits must be in [0, 31]");
-        } else if (flag == "--qos-frac") {
-            if (!(st = value(v)).ok() ||
-                !(st = parseDouble(flag, v, qos_frac)).ok())
-                return st;
-        } else if (flag == "--faults") {
-            if (!(st = value(out.options.faultSpec)).ok())
-                return st;
-        } else if (flag == "--checked") {
+        if (flag == "--checked") {
             out.options.checked = true;
-        } else {
-            return Status::error("unknown run flag '" + flag + "'");
+            continue;
         }
+        const auto name = names.find(flag);
+        const auto count = counts.find(flag);
+        if (name == names.end() && count == counts.end() &&
+            flag != "--qos-frac")
+            return Status::error("unknown option '" + flag + "'");
+        if (i + 1 == tokens.size())
+            return Status::error("missing value for " + flag);
+        const std::string &value = tokens[++i];
+        if (name != names.end())
+            *name->second = value;
+        else if (count != counts.end()
+                     ? !parseU64(value, *count->second)
+                     : !parseDouble(value, qos_frac))
+            return Status::error("invalid number '" + value +
+                                 "' for " + flag);
+        cores_set |= flag == "--cores";
     }
+
+    if (cores > std::numeric_limits<std::uint32_t>::max())
+        return Status::error("value '" + std::to_string(cores) +
+                             "' for --cores is out of range");
+    if (bits > 31)
+        return Status::error("--bits must be in [0, 31]");
+    // The PriSM-Q floor is a fraction of stand-alone IPC; the negated
+    // test also refuses NaN.
+    if (!(qos_frac > 0.0 && qos_frac <= 1.0))
+        return Status::error("--qos-frac must be in (0, 1]");
 
     if (!schemeFromName(scheme_name, out.scheme))
         return Status::error("unknown scheme '" + scheme_name + "'");
-    ReplKind repl;
+    ReplKind repl = ReplKind::LRU;
     if (!replFromName(repl_name, repl))
         return Status::error("unknown replacement policy '" +
                              repl_name + "'");
@@ -147,6 +101,13 @@ parseRunSpec(std::string_view text, RunSpec &out)
                 parseFaultSpec(out.options.faultSpec, clauses);
             !st.ok())
             return st;
+        for (const FaultClause &c : clauses)
+            if (isExecFaultKind(c.kind))
+                return Status::error(
+                    std::string("exec-level fault kind '") +
+                    faultKindName(c.kind) +
+                    "' is only valid in the sweep chaos spec "
+                    "(prism_bench --chaos)");
     }
 
     if (!mix.empty()) {
@@ -185,17 +146,29 @@ parseRunSpec(std::string_view text, RunSpec &out)
     out.machine.seed = seed;
     out.machine.repl = repl;
 
+    // One actionable line per problem, instead of a failure deep
+    // inside cache construction.
     if (const auto errors = out.machine.validate();
         !errors.empty()) {
-        std::string joined = "invalid machine configuration:";
+        std::string joined = "invalid configuration:";
         for (const std::string &e : errors)
-            joined += " " + e + ";";
+            joined += "\n  - " + e;
         return Status::error(joined);
     }
 
     out.options.probBits = static_cast<unsigned>(bits);
     out.options.qosTargetFrac = qos_frac;
     return Status();
+}
+
+Status
+parseRunSpec(std::string_view text, RunSpec &out)
+{
+    std::vector<std::string> tokens;
+    std::istringstream in{std::string(text)};
+    for (std::string token; in >> token;)
+        tokens.push_back(token);
+    return parseRunSpec(tokens, out);
 }
 
 } // namespace prism::analysis

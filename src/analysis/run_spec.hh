@@ -1,20 +1,23 @@
 /**
  * @file
- * RunSpec: parse a prism_sim-style argument string into a runnable
- * simulation description.
+ * RunSpec: the run vocabulary shared by prism_sim and
+ * `prism_doctor --run`, parsed into a runnable simulation
+ * description.
  *
- * `prism_doctor --run "--workload Q7 --scheme PriSM-H"` executes one
- * fresh simulation and diagnoses it in-process. The flag vocabulary
- * deliberately mirrors prism_sim's run-shaping subset (--cores,
+ * This is prism_sim's run-flag parser: prism_sim handles only its
+ * output and listing flags and hands every other token here, and
+ * `prism_doctor --run "--workload Q7 --scheme PriSM-H"` splits its
+ * text on whitespace and parses the same vocabulary (--cores,
  * --workload, --mix, --scheme, --repl, --instr, --warmup, --interval,
- * --seed, --bits, --qos-frac, --faults, --checked) so a run command
- * can be copied between the two tools verbatim; output flags are not
- * accepted here.
+ * --seed, --bits, --qos-frac, --faults, --checked), so a run command
+ * can be copied between the two tools verbatim.
  */
 
 #ifndef PRISM_ANALYSIS_RUN_SPEC_HH
 #define PRISM_ANALYSIS_RUN_SPEC_HH
 
+#include <span>
+#include <string>
 #include <string_view>
 
 #include "common/status.hh"
@@ -33,10 +36,16 @@ struct RunSpec
 };
 
 /**
- * Parse @p text (whitespace-separated flags) into @p out. The machine
- * is the paper configuration for the resolved core count with
- * prism_sim's default run lengths (1.5M instructions, 500k warm-up).
+ * Parse the run flags in @p tokens into @p out. The machine is the
+ * paper configuration for the resolved core count with prism_sim's
+ * default run lengths (1.5M instructions, 500k warm-up). Every
+ * input the run would refuse (unknown names, a fault spec with an
+ * exec-level kind, a QoS fraction outside (0, 1], an invalid
+ * machine) is an error here, before any simulation.
  */
+Status parseRunSpec(std::span<const std::string> tokens, RunSpec &out);
+
+/** parseRunSpec over the whitespace-separated flags in @p text. */
 Status parseRunSpec(std::string_view text, RunSpec &out);
 
 } // namespace prism::analysis

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "common/parse.hh"
+
 namespace prism::analysis
 {
 
@@ -165,22 +167,30 @@ struct TraceRow
     std::vector<double> evProb;
 };
 
-std::vector<double>
-coreArgs(const JsonValue &args)
+/**
+ * The per-core values of a counter event, from its `c<N>` keys. The
+ * writer emits dense keys c0..c{n-1}, so an index at or beyond the
+ * member count is an input error, not a reason to grow the row.
+ */
+Status
+coreArgs(const JsonValue &args, std::vector<double> &out)
 {
-    std::vector<double> out(args.members().size(), 0.0);
+    out.assign(args.members().size(), 0.0);
     for (const auto &[key, value] : args.members()) {
         if (key.size() < 2 || key[0] != 'c' ||
             key.find_first_not_of("0123456789", 1) !=
                 std::string::npos)
             continue;
-        const std::size_t idx =
-            static_cast<std::size_t>(std::stoul(key.substr(1)));
-        if (idx >= out.size())
-            out.resize(idx + 1, 0.0);
+        std::uint64_t idx = 0;
+        if (!parseU64(std::string_view(key).substr(1), idx) ||
+            idx >= out.size())
+            return Status::error("counter key '" + key +
+                                 "' is out of range (the event has " +
+                                 std::to_string(out.size()) +
+                                 " members)");
         out[idx] = value.asDouble();
     }
-    return out;
+    return Status();
 }
 
 } // namespace
@@ -214,12 +224,15 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
         if (ph == "C") {
             const std::uint64_t interval = ev.at("ts").asU64() / 1000;
             TraceRow &row = rows[pid][interval];
+            Status st;
             if (name == "occupancy")
-                row.occupancy = coreArgs(ev.at("args"));
+                st = coreArgs(ev.at("args"), row.occupancy);
             else if (name == "target")
-                row.target = coreArgs(ev.at("args"));
+                st = coreArgs(ev.at("args"), row.target);
             else if (name == "ev_prob")
-                row.evProb = coreArgs(ev.at("args"));
+                st = coreArgs(ev.at("args"), row.evProb);
+            if (!st.ok())
+                return st;
             continue;
         }
         if (ph == "i") {

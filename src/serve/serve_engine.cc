@@ -85,8 +85,6 @@ ServeEngine::run()
 
     ServeResult result;
     result.tenants.resize(tenants);
-    result.recorder = std::make_shared<telemetry::IntervalRecorder>(
-        std::max<std::size_t>(1, config_.recorderCapacity));
     result.metrics = std::make_shared<telemetry::MetricsRegistry>();
 
     // Per-tenant latency histograms: ~0.5us to ~1s in nanoseconds.
@@ -133,6 +131,11 @@ ServeEngine::run()
         return total;
     };
 
+    // The run's history keeps the last recorderCapacity intervals (at
+    // least one); older ones count as dropped samples.
+    const std::uint64_t history_rows =
+        std::max<std::size_t>(1, config_.recorderCapacity);
+
     // Bring the store and controller readings in `result` up to
     // date. Called from the sequential sections only, so observers
     // and the caller see thread-count-independent state.
@@ -144,8 +147,9 @@ ServeEngine::run()
         result.occupancyBytes = store.totalBytes();
         result.objects = store.objectCount();
         result.rehashes = store.rehashes();
-        result.droppedSamples = result.recorder->droppedSamples();
-        result.droppedEvents = result.recorder->droppedEvents();
+        result.droppedSamples = result.intervals > history_rows
+                                    ? result.intervals - history_rows
+                                    : 0;
         for (std::uint32_t t = 0; t < tenants; ++t) {
             TenantTotals &tt = result.tenants[t];
             tt.hits = store.hits(t);
@@ -207,16 +211,13 @@ ServeEngine::run()
             base_misses[t] += snap.misses[t];
             base_shadow[t] += snap.shadowHits[t];
         }
-        result.recorder->record(std::move(sample));
 
         arbiter.recompute(snap);
 
         if (config_.observer) {
             refresh();
-            // The recorded copy survives the move above.
             config_.observer->onIntervalClosed(
-                result.recorder->sample(result.recorder->size() -
-                                        1),
+                sample,
                 std::span<const std::uint64_t>(interval_evictions),
                 result);
         }

@@ -14,7 +14,7 @@
  * eviction in the store, until occupancy net of the planned
  * evictions fits the byte budget; then one pool task per shard
  * executes that shard's plan, and (5) once the interval's miss
- * quota W is met, the control loop records the interval and
+ * quota W is met, the control loop closes the interval and
  * recomputes targets and distribution.
  *
  * Because streams (not threads) own the RNGs, the merge order is a
@@ -86,8 +86,8 @@ struct ServeConfig
 
     /** Collect wall-clock latency/throughput (non-deterministic). */
     bool timing = true;
-    /** Interval-recorder ring capacity; also the number of interval
-     *  rows a final metrics snapshot keeps as the run's history. */
+    /** Interval rows a final metrics snapshot keeps as the run's
+     *  history; intervals beyond it count as dropped samples. */
     std::size_t recorderCapacity = 4096;
     /** Ghost-list keys per tenant per shard. */
     std::uint32_t ghostPerTenant = 1024;
@@ -155,10 +155,6 @@ struct ServeLiveState
     std::vector<double> targets;
     std::vector<double> evProbs;
 
-    /** Recorded interval series {C, T, E, M, hits, misses}; live
-     *  observers may append events. */
-    std::shared_ptr<telemetry::IntervalRecorder> recorder;
-
     /** Per-tenant latency histograms etc. (timing runs only). */
     std::shared_ptr<telemetry::MetricsRegistry> metrics;
 };
@@ -167,8 +163,7 @@ struct ServeLiveState
  * Hooks into the serve round pipeline. All callbacks fire on the
  * engine thread inside the sequential control sections, after the
  * round's eviction tasks have finished — implementations need no
- * locking, may append telemetry events via state.recorder, and must
- * not block.
+ * locking and must not block.
  */
 class ServeObserver
 {
@@ -194,8 +189,8 @@ class ServeObserver
     virtual void onRunEnd(const ServeLiveState &state) { (void)state; }
 };
 
-/** The outcome of one serve run: the final live state (its recorder
- *  holds the interval series) plus the run's wall time. */
+/** The outcome of one serve run: the final live state plus the
+ *  run's wall time. The interval series reaches observers only. */
 struct ServeResult : ServeLiveState
 {
     /** Wall-clock seconds spent serving; 0 without timing. */

@@ -10,11 +10,12 @@
  * SlidingWindow, the MetricsRegistry — and keyed by the round index,
  * never the wall clock. A serve run's final snapshot is its only
  * document: besides the live window it carries a "history" section,
- * the run's interval rows up to the recorder capacity, which the
- * doctor grades instead of the window. Rendering walks fixed key orders and sorted
- * metric names through JsonWriter, so the same round of the same run
- * produces byte-identical files at any --threads value, and the live
- * plane can be golden-tested like the offline artifacts
+ * the run's interval rows up to ServeConfig::recorderCapacity, which
+ * the doctor grades instead of the window. Rendering walks fixed key
+ * orders and sorted metric names through JsonWriter, so the same
+ * round of the same run produces byte-identical files at any
+ * --threads value, and the live plane can be golden-tested like the
+ * offline artifacts
  * (docs/OBSERVABILITY.md, "Live metrics & online doctor").
  *
  * Files are written with writeFileAtomic (tmp + fsync + rename): a

@@ -29,10 +29,6 @@ eventKindName(EventKind kind)
         return "job_timeout";
       case EventKind::JobQuarantine:
         return "job_quarantine";
-      case EventKind::DoctorWarn:
-        return "doctor_warn";
-      case EventKind::DoctorFail:
-        return "doctor_fail";
     }
     return "?";
 }

@@ -83,12 +83,6 @@ enum class EventKind
     JobRetry,      ///< a failed attempt was retried
     JobTimeout,    ///< an attempt hit the deadline watchdog
     JobQuarantine, ///< the job exhausted its attempts
-
-    // Online-doctor events (live observability plane): a check
-    // escalated at this interval; the value is the finding's
-    // measured statistic.
-    DoctorWarn, ///< a live check crossed its WARN threshold
-    DoctorFail, ///< a live check crossed its FAIL threshold
 };
 
 const char *eventKindName(EventKind kind);

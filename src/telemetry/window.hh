@@ -23,10 +23,10 @@
  * (default 64) and determinism is worth more here than O(log K).
  *
  * The serve observer keeps two windows over the same stream: the
- * live one (K = --window) and the run's history (K = the engine's
- * recorder capacity, default 4096). The history is read only once
- * the run has ended: a final snapshot renders its rows and the
- * doctor grades them.
+ * live one (K = --window) and the run's history (K =
+ * ServeConfig::recorderCapacity, default 4096). The history is read
+ * only once the run has ended: a final snapshot renders its rows and
+ * the doctor grades them.
  */
 
 #ifndef PRISM_TELEMETRY_WINDOW_HH

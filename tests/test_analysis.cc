@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -390,8 +391,46 @@ TEST(RunSpecParse, RejectsBadInput)
     // K-bit probabilities need K <= 31; 2^32 + 6 once narrowed to 6.
     EXPECT_FALSE(parseRunSpec("--bits 32", spec).ok());
     EXPECT_FALSE(parseRunSpec("--bits 4294967302", spec).ok());
+    // Exec-level kinds belong to prism_bench --chaos, not a run.
+    EXPECT_FALSE(parseRunSpec("--faults job_crash@3", spec).ok());
+    // The PriSM-Q floor fraction must be finite and in (0, 1].
+    EXPECT_FALSE(parseRunSpec("--qos-frac nan", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--qos-frac -1", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--qos-frac 1.5", spec).ok());
     // Default spec is the 4-core paper machine under PriSM-H.
     ASSERT_TRUE(parseRunSpec("", spec).ok());
     EXPECT_EQ(spec.scheme, SchemeKind::PrismH);
     EXPECT_EQ(spec.machine.numCores, 4u);
+}
+
+TEST(TraceRead, FixtureParsesAndStrayCoreKeysAreInputErrors)
+{
+    std::ifstream in(PRISM_TRACE_GOLDEN_DEFAULT);
+    ASSERT_TRUE(in.is_open()) << PRISM_TRACE_GOLDEN_DEFAULT;
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string golden = text.str();
+
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(golden, doc).ok());
+    std::vector<RunSeries> runs;
+    const Status st = seriesFromTraceJson(doc, runs);
+    ASSERT_TRUE(st.ok()) << st.message();
+    ASSERT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs[0].name, "GF/PriSM-H");
+    EXPECT_EQ(runs[0].cores, 2u);
+    EXPECT_FALSE(runs[0].occupancy.empty());
+
+    // The writer emits dense keys c0..c{n-1}. Renaming the first
+    // occupancy row's c1 leaves an index the event cannot hold: one
+    // past the end, and one too large for 64 bits.
+    for (const std::string key : {"c2", "c1000000000000000000000000"}) {
+        std::string bad = golden;
+        bad.replace(bad.find("\"c1\""), 4, "\"" + key + "\"");
+        ASSERT_TRUE(parseJson(bad, doc).ok());
+        const Status bad_st = seriesFromTraceJson(doc, runs);
+        EXPECT_FALSE(bad_st.ok()) << key;
+        EXPECT_NE(bad_st.message().find(key), std::string::npos)
+            << bad_st.message();
+    }
 }

@@ -202,12 +202,15 @@ TEST(Cli, BadFaultSpecFails)
 TEST(Cli, ExecFaultKindRejectedInSimSpec)
 {
     // job_crash/job_stall/torn_write/alloc_fail target the sweep
-    // execution layer; the per-run --faults spec must refuse them.
+    // execution layer; the per-run --faults spec must refuse them as
+    // a usage error, before any simulation.
     const auto [code, out] = run(
         "--mix 403.gcc,186.crafty --instr 50000 --warmup 10000 "
         "--faults job_crash@3");
-    EXPECT_NE(code, 0);
+    EXPECT_EQ(code, 2) << out;
     EXPECT_NE(out.find("exec-level fault kind"), std::string::npos);
+    EXPECT_EQ(out.find("ANTT"), std::string::npos)
+        << "a usage error must not print a results table: " << out;
 }
 
 TEST(Cli, InvalidConfigurationFails)

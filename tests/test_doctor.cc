@@ -185,6 +185,12 @@ TEST(DoctorCli, UsageErrorsExitTwo)
     EXPECT_EQ(run(doctorBin() + " --no-such-flag").first, 2);
     EXPECT_EQ(run(doctorBin() + " /no/such/file.json").first, 2);
     EXPECT_EQ(run(doctorBin() + " --compare one.json").first, 2);
+    // A NaN or infinite tolerance would let any drift pass the gate.
+    const std::string compare = doctorBin() + " --compare " +
+                                PRISM_BENCH_GOLDEN_DEFAULT + " " +
+                                PRISM_BENCH_GOLDEN_DEFAULT;
+    EXPECT_EQ(run(compare + " --tolerance nan").first, 2);
+    EXPECT_EQ(run(compare + " --tolerance ipc=inf").first, 2);
 }
 
 TEST(DoctorCli, BenchDoctorVerdictsAreThreadCountInvariant)

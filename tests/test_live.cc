@@ -279,7 +279,7 @@ TEST(LivePlane, OnlyTheFinalSnapshotCarriesTheWholeRun)
     EXPECT_EQ(final_doc.at("window").at("size").asU64(), 4u);
     const JsonValue &history = final_doc.at("history");
     EXPECT_EQ(history.at("capacity").asU64(), 4096u)
-        << "the history keeps as many rows as the recorder ring";
+        << "the history keeps ServeConfig::recorderCapacity rows";
     EXPECT_EQ(history.at("size").asU64(), 11u);
     EXPECT_EQ(history.at("pushed").asU64(), 11u);
     ASSERT_EQ(history.at("interval").size(), 11u);
@@ -302,6 +302,29 @@ TEST(LivePlane, OnlyTheFinalSnapshotCarriesTheWholeRun)
                 << f.at("detail").asString();
         }
     EXPECT_TRUE(found);
+}
+
+TEST(LivePlane, IntervalsBeyondTheHistoryCountAsDroppedSamples)
+{
+    // The history keeps the last recorderCapacity intervals (at
+    // least one); the final snapshot counts the older ones as
+    // dropped samples. The serve run records no events.
+    for (const auto &[capacity, kept] :
+         {std::pair<std::size_t, std::uint64_t>{4, 4}, {0, 1}}) {
+        ServeConfig config = fixtureConfig();
+        config.recorderCapacity = capacity;
+        const LiveRun run = runLive(config, 1);
+        ASSERT_EQ(run.result.intervals, 11u);
+        EXPECT_EQ(run.result.droppedSamples, 11u - kept) << capacity;
+        EXPECT_EQ(run.result.droppedEvents, 0u) << capacity;
+
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(run.snapshotJson, doc).ok());
+        EXPECT_EQ(doc.at("history").at("size").asU64(), kept);
+        EXPECT_EQ(doc.at("telemetry").at("dropped_samples").asU64(),
+                  11u - kept)
+            << capacity;
+    }
 }
 
 TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)

@@ -143,18 +143,15 @@ TEST(IntervalRecorder, EventKindNamesAreStable)
                  "fallback_entered");
     EXPECT_STREQ(eventKindName(EventKind::OwnershipRepair),
                  "ownership_repair");
-    // The online doctor's escalation markers (docs/OBSERVABILITY.md).
-    EXPECT_STREQ(eventKindName(EventKind::DoctorWarn), "doctor_warn");
-    EXPECT_STREQ(eventKindName(EventKind::DoctorFail), "doctor_fail");
 }
 
 TEST(IntervalRecorder, DropCountersStayExactAcrossWrapUnderWriters)
 {
     // The recorder is single-writer by contract; callers that share
-    // one (the serve engine's observers) serialise externally. Under
-    // that discipline the drop counters must stay exact arithmetic
-    // over the ring: recorded == size + droppedSamples, and likewise
-    // for events, no matter how the writers interleave.
+    // one serialise externally. Under that discipline the drop
+    // counters must stay exact arithmetic over the ring: recorded ==
+    // size + droppedSamples, and likewise for events, no matter how
+    // the writers interleave.
     IntervalRecorder rec(16);
     std::mutex writer_mutex;
     constexpr int kWriters = 4;
@@ -169,8 +166,8 @@ TEST(IntervalRecorder, DropCountersStayExactAcrossWrapUnderWriters)
                 std::lock_guard<std::mutex> lock(writer_mutex);
                 rec.record(sampleAt(interval));
                 if (i % 3 == 0)
-                    rec.addEvent({EventKind::DoctorWarn, interval,
-                                  invalidCore, 0.0});
+                    rec.addEvent({EventKind::DegradedInterval,
+                                  interval, invalidCore, 0.0});
             }
         });
     for (std::thread &t : writers)

@@ -32,6 +32,7 @@
  * input error.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -44,6 +45,7 @@
 #include "analysis/run_spec.hh"
 #include "analysis/series.hh"
 #include "common/atomic_file.hh"
+#include "common/parse.hh"
 #include "exec/checkpoint.hh"
 
 using namespace prism;
@@ -67,9 +69,10 @@ usage(std::ostream &os)
         "                       FAIL verdict, not an input error\n"
         "  --run \"FLAGS\"        simulate one run in-process and\n"
         "                       diagnose it (prism_sim run flags:\n"
-        "                       --workload/--mix/--scheme/--repl/\n"
-        "                       --instr/--warmup/--interval/--seed/\n"
-        "                       --bits/--qos-frac/--faults/--checked)\n"
+        "                       --cores/--workload/--mix/--scheme/\n"
+        "                       --repl/--instr/--warmup/--interval/\n"
+        "                       --seed/--bits/--qos-frac/--faults/\n"
+        "                       --checked)\n"
         "  --compare A B        diff two prism-bench-v1 files\n"
         "  --tolerance X        global relative tolerance for\n"
         "                       --compare (default 0 = exact)\n"
@@ -186,38 +189,19 @@ checkCheckpoint(const std::string &path)
     return v;
 }
 
-/** Hand-built verdict for a bench job that carries an "error"
- * object (quarantined or skipped) instead of a result. */
+/** The verdict for a bench job that carries an "error" object
+ * (quarantined or skipped) instead of a result. */
 Verdict
-failedJobVerdict(const JsonValue &job)
+failedBenchJob(const JsonValue &job)
 {
     const JsonValue &error = job.at("error");
-    const std::string state = error.at("state").asString();
-    const std::uint64_t attempts = error.at("attempts").asU64();
-
-    Verdict v;
-    v.run = job.at("id").asString();
-    Finding f;
-    if (state == "skipped") {
-        f.check = "exec.job_skipped";
-        f.status = FindingStatus::Warn;
-        f.detail = "not executed (shutdown requested)";
-    } else {
-        f.check = "exec.job_quarantined";
-        f.status = FindingStatus::Fail;
-        f.detail = "quarantined after " + std::to_string(attempts) +
-                   " attempts";
-        const auto &failures = error.at("failures").elements();
-        if (!failures.empty())
-            f.detail += " (last: " +
-                        failures.back().at("message").asString() +
-                        ")";
-    }
-    f.value = static_cast<double>(attempts);
-    f.hasValue = true;
-    v.findings.push_back(std::move(f));
-    v.overall = v.findings.back().status;
-    return v;
+    const auto &failures = error.at("failures").elements();
+    return failedJobVerdict(
+        job.at("id").asString(),
+        error.at("state").asString() == "skipped",
+        error.at("attempts").asU64(),
+        failures.empty() ? ""
+                         : failures.back().at("message").asString());
 }
 
 /** Simulate the --run spec and build its series view. */
@@ -273,9 +257,10 @@ main(int argc, char **argv)
             const std::size_t eq = v.find('=');
             const std::string num =
                 eq == std::string::npos ? v : v.substr(eq + 1);
-            char *end = nullptr;
-            const double tol = std::strtod(num.c_str(), &end);
-            if (num.empty() || end != num.c_str() + num.size() ||
+            // A NaN tolerance would pass every drift: rel > NaN is
+            // false.
+            double tol = 0.0;
+            if (!parseDouble(num, tol) || !std::isfinite(tol) ||
                 tol < 0.0)
                 cliError("invalid tolerance '" + v + "'");
             if (eq == std::string::npos)
@@ -366,7 +351,7 @@ main(int argc, char **argv)
                     // object instead of a result; report the
                     // execution failure directly.
                     if (job.at("error").isObject()) {
-                        jobs.push_back(failedJobVerdict(job));
+                        jobs.push_back(failedBenchJob(job));
                         continue;
                     }
                     RunSeries s;

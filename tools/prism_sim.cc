@@ -4,7 +4,10 @@
  *
  * Runs a multi-programmed workload on the paper's evaluation machine
  * under any of the built-in cache-management schemes and prints
- * per-core statistics plus the summary metrics.
+ * per-core statistics plus the summary metrics. The tool handles its
+ * output and listing flags; every other token is a run flag, parsed
+ * by parseRunSpec (analysis/run_spec.hh), the parser behind
+ * `prism_doctor --run`.
  *
  * Examples:
  *   prism_sim --cores 4 --workload Q7 --scheme PriSM-H
@@ -19,16 +22,13 @@
  */
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
+#include "analysis/run_spec.hh"
 #include "common/atomic_file.hh"
 #include "common/parse.hh"
 #include "common/table.hh"
-#include "fault/fault_injector.hh"
-#include "sim/runner.hh"
 #include "telemetry/trace_writer.hh"
 #include "workload/profiles.hh"
 
@@ -37,22 +37,10 @@ using namespace prism;
 namespace
 {
 
+/** The output flags, plus the run-flag tokens for parseRunSpec. */
 struct Options
 {
-    unsigned cores = 4;
-    bool cores_set = false;
-    std::string workload;
-    std::string mix;
-    std::string scheme = "PriSM-H";
-    std::string repl = "LRU";
-    std::uint64_t instr = 1'500'000;
-    std::uint64_t warmup = 500'000;
-    std::uint64_t interval = 0;
-    std::uint64_t seed = 0x5EED0001ULL;
-    unsigned bits = 0;
-    double qos_frac = 0.8;
-    std::string faults;
-    bool checked = false;
+    std::vector<std::string> run_flags;
     bool csv = false;
     bool stats = false;
     std::string stats_json;
@@ -111,64 +99,6 @@ cliError(const std::string &msg)
     std::cerr << "prism_sim: " << msg << "\n\n";
     usage(std::cerr);
     std::exit(2);
-}
-
-std::uint64_t
-parseU64(const std::string &flag, const std::string &text)
-{
-    std::uint64_t v = 0;
-    if (!prism::parseU64(text, v))
-        cliError("invalid number '" + text + "' for " + flag);
-    return v;
-}
-
-unsigned
-parseUnsigned(const std::string &flag, const std::string &text)
-{
-    const std::uint64_t v = parseU64(flag, text);
-    if (v > 0xFFFFFFFFull)
-        cliError("value '" + text + "' for " + flag +
-                 " is out of range");
-    return static_cast<unsigned>(v);
-}
-
-double
-parseDouble(const std::string &flag, const std::string &text)
-{
-    double v = 0.0;
-    if (!prism::parseDouble(text, v))
-        cliError("invalid number '" + text + "' for " + flag);
-    return v;
-}
-
-SchemeKind
-parseScheme(const std::string &name)
-{
-    SchemeKind kind;
-    if (!schemeFromName(name, kind))
-        cliError("unknown scheme '" + name + "'");
-    return kind;
-}
-
-ReplKind
-parseRepl(const std::string &name)
-{
-    ReplKind kind;
-    if (!replFromName(name, kind))
-        cliError("unknown replacement policy '" + name + "'");
-    return kind;
-}
-
-std::vector<std::string>
-splitMix(const std::string &mix)
-{
-    std::vector<std::string> out;
-    std::istringstream in(mix);
-    std::string item;
-    while (std::getline(in, item, ','))
-        if (!item.empty())
-            out.push_back(item);
-    return out;
 }
 
 void
@@ -235,36 +165,6 @@ main(int argc, char **argv)
         } else if (arg == "--list-workloads") {
             listWorkloads();
             return 0;
-        } else if (arg == "--cores") {
-            opt.cores = parseUnsigned(arg, value());
-            opt.cores_set = true;
-        } else if (arg == "--workload") {
-            opt.workload = value();
-        } else if (arg == "--mix") {
-            opt.mix = value();
-        } else if (arg == "--scheme") {
-            opt.scheme = value();
-        } else if (arg == "--repl") {
-            opt.repl = value();
-        } else if (arg == "--instr") {
-            opt.instr = parseU64(arg, value());
-        } else if (arg == "--warmup") {
-            opt.warmup = parseU64(arg, value());
-        } else if (arg == "--interval") {
-            opt.interval = parseU64(arg, value());
-        } else if (arg == "--seed") {
-            opt.seed = parseU64(arg, value());
-        } else if (arg == "--bits") {
-            const std::uint64_t bits = parseU64(arg, value());
-            if (bits > 31)
-                cliError("--bits must be in [0, 31]");
-            opt.bits = static_cast<unsigned>(bits);
-        } else if (arg == "--qos-frac") {
-            opt.qos_frac = parseDouble(arg, value());
-        } else if (arg == "--faults") {
-            opt.faults = value();
-        } else if (arg == "--checked") {
-            opt.checked = true;
         } else if (arg == "--csv") {
             opt.csv = true;
         } else if (arg == "--stats") {
@@ -276,75 +176,27 @@ main(int argc, char **argv)
         } else if (arg == "--trace-csv") {
             opt.trace_csv = value();
         } else if (arg == "--trace-capacity") {
-            opt.trace_capacity = parseU64(arg, value());
+            const std::string v = value();
+            if (!parseU64(v, opt.trace_capacity))
+                cliError("invalid number '" + v + "' for " + arg);
             if (opt.trace_capacity == 0)
                 cliError("--trace-capacity must be at least 1");
         } else if (arg == "--trace-wall") {
             opt.trace_wall = true;
         } else {
-            cliError("unknown option '" + arg + "'");
+            opt.run_flags.push_back(arg);
         }
     }
 
-    // Validate enumerated names and the fault spec up front so a typo
-    // is a usage error, not a failure half-way into a long run.
-    const SchemeKind scheme_kind = parseScheme(opt.scheme);
-    const ReplKind repl_kind = parseRepl(opt.repl);
-    if (!opt.faults.empty()) {
-        std::vector<FaultClause> clauses;
-        const Status st = parseFaultSpec(opt.faults, clauses);
-        if (!st.ok())
-            cliError(st.message());
-    }
+    // The run flags are parsed and checked whole before anything
+    // runs, so a typo is a usage error, not a failure half-way into
+    // a long run.
+    analysis::RunSpec spec;
+    if (const Status st = analysis::parseRunSpec(opt.run_flags, spec);
+        !st.ok())
+        cliError(st.message());
 
-    // Resolve the workload.
-    Workload workload;
-    if (!opt.mix.empty()) {
-        workload.name = "custom";
-        workload.benchmarks = splitMix(opt.mix);
-        if (workload.benchmarks.empty())
-            cliError("--mix lists no benchmarks");
-        if (opt.cores_set &&
-            workload.benchmarks.size() != opt.cores)
-            cliError("--mix lists " +
-                     std::to_string(workload.benchmarks.size()) +
-                     " benchmarks but --cores asked for " +
-                     std::to_string(opt.cores));
-        opt.cores = static_cast<unsigned>(workload.benchmarks.size());
-    } else if (!opt.workload.empty()) {
-        if (!suites::find(opt.workload, workload))
-            cliError("unknown workload '" + opt.workload + "'");
-        opt.cores = static_cast<unsigned>(workload.benchmarks.size());
-    } else {
-        if (opt.cores != 4 && opt.cores != 8 && opt.cores != 16 &&
-            opt.cores != 32)
-            cliError("--cores must be 4, 8, 16 or 32 (got " +
-                     std::to_string(opt.cores) + ")");
-        workload = suites::forCoreCount(opt.cores).front();
-    }
-
-    MachineConfig machine = MachineConfig::forCores(opt.cores);
-    machine.instrBudget = opt.instr;
-    machine.warmupInstr = opt.warmup;
-    if (opt.interval)
-        machine.intervalMisses = opt.interval;
-    machine.seed = opt.seed;
-    machine.repl = repl_kind;
-
-    // Catch impossible machines here, with one actionable message per
-    // problem, instead of failing deep inside cache construction.
-    if (const auto errors = machine.validate(); !errors.empty()) {
-        std::cerr << "prism_sim: invalid configuration:\n";
-        for (const auto &e : errors)
-            std::cerr << "  - " << e << "\n";
-        return 2;
-    }
-
-    SchemeOptions scheme_opt;
-    scheme_opt.probBits = opt.bits;
-    scheme_opt.qosTargetFrac = opt.qos_frac;
-    scheme_opt.faultSpec = opt.faults;
-    scheme_opt.checked = opt.checked;
+    SchemeOptions &scheme_opt = spec.options;
     std::ostringstream stats;
     if (opt.stats)
         scheme_opt.statsSink = &stats;
@@ -362,9 +214,9 @@ main(int argc, char **argv)
         scheme_opt.telemetry.metrics = &metrics;
     }
 
-    Runner runner(machine);
+    Runner runner(spec.machine);
     const RunResult res =
-        runner.run(workload, scheme_kind, scheme_opt);
+        runner.run(spec.workload, spec.scheme, scheme_opt);
 
     if (!opt.stats_json.empty()) {
         if (const Status st =
@@ -378,7 +230,8 @@ main(int argc, char **argv)
 
     if (tracing) {
         const telemetry::TraceJob job{
-            workload.name + "/" + res.scheme, res.recorder.get()};
+            spec.workload.name + "/" + res.scheme,
+            res.recorder.get()};
         telemetry::TraceOptions trace_opt;
         trace_opt.includeWallTime = opt.trace_wall;
         const telemetry::TraceWriter writer(trace_opt);
@@ -434,9 +287,10 @@ main(int argc, char **argv)
     if (opt.csv) {
         t.printCsv(std::cout);
     } else {
-        std::cout << "workload " << workload.name << " on "
-                  << opt.cores << " cores, scheme " << res.scheme
-                  << ", repl " << opt.repl << "\n\n";
+        std::cout << "workload " << spec.workload.name << " on "
+                  << spec.machine.numCores << " cores, scheme "
+                  << res.scheme << ", repl "
+                  << replKindName(spec.machine.repl) << "\n\n";
         t.print(std::cout);
         std::cout << "\nANTT " << Table::num(res.antt())
                   << " (lower is better), fairness "
@@ -447,7 +301,7 @@ main(int argc, char **argv)
                       << " recomputations, victimless fraction "
                       << Table::pct(res.victimlessFraction) << "\n";
     }
-    if (opt.checked || !opt.faults.empty()) {
+    if (scheme_opt.checked || !scheme_opt.faultSpec.empty()) {
         std::cout << "robustness: " << res.faultsInjected
                   << " faults injected, " << res.degradedIntervals
                   << " degraded intervals, " << res.invariantViolations
