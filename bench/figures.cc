@@ -182,19 +182,16 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
 {
     using namespace prism::analysis;
 
-    const bool has_reports =
-        outcome.reports.size() == spec.jobs.size();
-
     const DoctorThresholds thresholds;
     std::vector<Verdict> verdicts;
     verdicts.reserve(spec.jobs.size());
     for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
         const SweepJob &job = spec.jobs[i];
         const RunResult &r = outcome.results[i];
+        const JobReport &report = outcome.reports[i];
 
-        if (has_reports && !outcome.reports[i].succeeded()) {
+        if (!report.succeeded()) {
             // No result to analyse — report the execution failure.
-            const JobReport &report = outcome.reports[i];
             verdicts.push_back(failedJobVerdict(
                 job.id, report.state != JobState::Quarantined,
                 report.attempts,
@@ -216,7 +213,7 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
         verdicts.push_back(analyze(s, thresholds));
     }
 
-    const bool exec_noteworthy = (has_reports && outcome.noteworthy()) ||
+    const bool exec_noteworthy = outcome.noteworthy() ||
                                  exec_series.tornWrites > 0 ||
                                  exec_series.checkpointCorrupt > 0;
     if (exec_noteworthy)

@@ -1,94 +1,24 @@
 #include "analysis/online_doctor.hh"
 
+#include <algorithm>
+#include <sstream>
 #include <utility>
+
+#include "analysis/series.hh"
+#include "common/json.hh"
+#include "common/prism_assert.hh"
 
 namespace prism::analysis
 {
-
-RunSeries
-OnlineDoctor::buildSeries(const telemetry::SlidingWindow &window,
-                          const serve::ServeLiveState &state,
-                          const serve::ServeConfig &config)
-{
-    RunSeries s;
-    s.serve = true;
-    s.plane = "store";
-    s.scheme = canonicalSchemeName(
-        std::string("PriSM-") + serve::policyName(config.policy));
-    s.name = "serve/" + s.scheme;
-
-    s.hasCounters = true;
-    s.intervals = state.intervals;
-    s.recomputes = state.recomputes;
-    s.eq1Fallbacks = state.eq1Fallbacks;
-    s.clampedEq1Inputs = state.clampedEq1Inputs;
-    s.serveVictimless = state.victimlessEvictions;
-    s.droppedSamples = state.droppedSamples;
-    s.droppedEvents = state.droppedEvents;
-
-    // Whole-run hit ratios, the formula snapshot() renders, so the
-    // offline doctor on the emitted snapshots reproduces these
-    // inputs bit for bit.
-    for (const serve::TenantTotals &t : state.tenants) {
-        const std::uint64_t accesses = t.hits + t.misses;
-        s.serveHitRatio.push_back(
-            accesses ? static_cast<double>(t.hits) /
-                           static_cast<double>(accesses)
-                     : 0.0);
-    }
-    for (std::size_t t = 0; t < state.tenants.size(); ++t)
-        s.serveSloFloor.push_back(t < config.tenants.size()
-                                      ? config.tenants[t].sloHit
-                                      : 0.0);
-    s.cores = static_cast<std::uint32_t>(s.serveHitRatio.size());
-
-    for (std::size_t i = 0; i < window.size(); ++i) {
-        const telemetry::SlidingWindow::Row &row = window.row(i);
-        s.interval.push_back(row.interval);
-        s.occupancy.push_back(row.occupancy);
-        s.target.push_back(row.target);
-        s.evProb.push_back(row.evProb);
-        std::vector<double> ev;
-        ev.reserve(row.evictions.size());
-        for (const std::uint64_t e : row.evictions)
-            ev.push_back(static_cast<double>(e));
-        s.serveEvictions.push_back(std::move(ev));
-    }
-    s.hasSeries = !s.interval.empty();
-    s.prism = !s.target.empty();
-
-    s.hasDrift = true;
-    for (std::uint32_t t = 0; t < window.tenants(); ++t) {
-        const telemetry::TenantWindowStats ws = window.stats(t);
-        s.driftMissRate.push_back(ws.missRateDrift);
-        s.driftSlowdown.push_back(ws.slowdownDrift);
-    }
-    return s;
-}
-
-const Verdict &
-OnlineDoctor::evaluate(const telemetry::SlidingWindow &window,
-                       const serve::ServeLiveState &state,
-                       const serve::ServeConfig &config)
-{
-    verdict_ =
-        analyze(buildSeries(window, state, config), thresholds_);
-    evaluated_ = true;
-    return verdict_;
-}
 
 ServeLiveObserver::ServeLiveObserver(
     const serve::ServeConfig &config, LiveObserverOptions options)
     : config_(config), options_(std::move(options)),
       window_(static_cast<std::uint32_t>(config.tenants.size()),
               telemetry::WindowConfig{
-                  options_.windowCapacity, options_.ewmaAlpha,
-                  options_.thresholds.serveMissPenalty}),
-      history_(static_cast<std::uint32_t>(config.tenants.size()),
-               telemetry::WindowConfig{
-                   config.recorderCapacity, options_.ewmaAlpha,
-                   options_.thresholds.serveMissPenalty}),
-      doctor_(options_.thresholds),
+                  .capacity = options_.windowCapacity,
+                  .missPenalty = DoctorThresholds{}.serveMissPenalty}),
+      history_(std::max<std::size_t>(1, config.recorderCapacity)),
       exporter_(telemetry::ExporterConfig{
           options_.metricsJsonPath, options_.metricsPromPath,
           options_.metricsEvery})
@@ -102,14 +32,14 @@ ServeLiveObserver::ServeLiveObserver(
 void
 ServeLiveObserver::onIntervalClosed(
     const telemetry::IntervalSample &sample,
-    std::span<const std::uint64_t> evictions,
+    std::span<const std::uint64_t> /*evictions*/,
     const serve::ServeLiveState &state)
 {
-    window_.push(sample, evictions);
-    history_.push(sample, evictions);
+    window_.push(sample);
+    history_.record(sample);
     last_ = state;
     if (options_.onlineDoctor)
-        doctor_.evaluate(window_, state, config_);
+        grade();
 }
 
 void
@@ -131,10 +61,27 @@ ServeLiveObserver::onRunEnd(const serve::ServeLiveState &state)
     // The authoritative final verdict, over the whole run's rows:
     // cumulative totals are final here (a run whose last round
     // closed no interval would otherwise grade slightly stale hit
-    // ratios). Both windows saw every interval, so their EWMA drift
-    // agrees.
+    // ratios).
     if (options_.onlineDoctor)
-        doctor_.evaluate(history_, state, config_);
+        grade();
+}
+
+void
+ServeLiveObserver::grade()
+{
+    // The rendered text differs from the file only in its embedded
+    // verdict, a section the reader skips.
+    std::ostringstream text;
+    telemetry::MetricsExporter::writeJson(text, snapshot());
+    JsonValue doc;
+    Status st = parseJson(text.str(), doc);
+    RunSeries series;
+    if (st.ok())
+        st = seriesFromMetricsJson(doc, series);
+    if (!st.ok())
+        panic("online doctor: cannot read back its own snapshot: " +
+              st.message());
+    verdict_ = analyze(series, DoctorThresholds{});
 }
 
 Status
@@ -204,10 +151,9 @@ ServeLiveObserver::snapshot() const
     if (ended_)
         snap.history = &history_;
 
-    if (options_.onlineDoctor && doctor_.evaluated()) {
-        const Verdict &v = doctor_.verdict();
-        snap.doctorOverall = findingStatusName(v.overall);
-        for (const Finding &f : v.findings) {
+    if (verdict_) {
+        snap.doctorOverall = findingStatusName(verdict_->overall);
+        for (const Finding &f : verdict_->findings) {
             telemetry::DoctorFindingLine line;
             line.check = f.check;
             line.status = findingStatusName(f.status);

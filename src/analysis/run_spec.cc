@@ -1,5 +1,6 @@
 #include "analysis/run_spec.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -8,6 +9,7 @@
 
 #include "common/parse.hh"
 #include "fault/fault_injector.hh"
+#include "workload/profiles.hh"
 
 namespace prism::analysis
 {
@@ -115,18 +117,17 @@ parseRunSpec(std::span<const std::string> tokens, RunSpec &out)
         out.workload.benchmarks = splitMix(mix);
         if (out.workload.benchmarks.empty())
             return Status::error("--mix lists no benchmarks");
-        if (cores_set && out.workload.benchmarks.size() != cores)
-            return Status::error(
-                "--mix lists " +
-                std::to_string(out.workload.benchmarks.size()) +
-                " benchmarks but --cores asked for " +
-                std::to_string(cores));
-        cores = out.workload.benchmarks.size();
+        const std::vector<std::string> known =
+            ProfileLibrary::instance().names();
+        for (const std::string &b : out.workload.benchmarks)
+            if (std::find(known.begin(), known.end(), b) ==
+                known.end())
+                return Status::error("unknown benchmark '" + b +
+                                     "' in --mix");
     } else if (!workload_name.empty()) {
         if (!suites::find(workload_name, out.workload))
             return Status::error("unknown workload '" +
                                  workload_name + "'");
-        cores = out.workload.benchmarks.size();
     } else {
         if (cores != 4 && cores != 8 && cores != 16 && cores != 32)
             return Status::error(
@@ -136,6 +137,15 @@ parseRunSpec(std::span<const std::string> tokens, RunSpec &out)
                            static_cast<std::uint32_t>(cores))
                            .front();
     }
+    // A workload fixes the core count; --cores may only restate it.
+    if (cores_set && out.workload.benchmarks.size() != cores)
+        return Status::error(
+            (mix.empty() ? "--workload " + workload_name : "--mix") +
+            " lists " +
+            std::to_string(out.workload.benchmarks.size()) +
+            " benchmarks but --cores asked for " +
+            std::to_string(cores));
+    cores = out.workload.benchmarks.size();
 
     out.machine =
         MachineConfig::forCores(static_cast<std::uint32_t>(cores));

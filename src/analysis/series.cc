@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/parse.hh"
+#include "exec/checkpoint.hh"
 
 namespace prism::analysis
 {
@@ -86,7 +87,8 @@ attachRunResult(RunSeries &s, const RunResult &r)
     s.ownershipRepairs = r.ownershipRepairs;
     s.faultsInjected = r.faultsInjected;
     s.clampedEq1Inputs = r.clampedEq1Inputs;
-    s.hasPerf = !r.ipc.empty();
+    s.hasPerf =
+        !r.ipc.empty() && r.ipc.size() == r.ipcStandalone.size();
     s.ipc = r.ipc;
     s.ipcStandalone = r.ipcStandalone;
 }
@@ -292,61 +294,16 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
     return Status();
 }
 
-namespace
-{
-
-std::vector<double>
-doubleArray(const JsonValue &v)
-{
-    std::vector<double> out;
-    for (const JsonValue &e : v.elements())
-        out.push_back(e.asDouble());
-    return out;
-}
-
-} // namespace
-
 Status
 seriesFromBenchJob(const JsonValue &job, RunSeries &out)
 {
-    const JsonValue &result = job.at("result");
-    if (!result.isObject())
-        return Status::error("bench job has no result object");
-
+    RunResult r;
+    if (const Status st = readRunResultFields(job.at("result"), r);
+        !st.ok())
+        return st;
     out = RunSeries();
+    attachRunResult(out, r);
     out.name = job.at("id").asString();
-    out.scheme = result.at("scheme").asString();
-    out.cores = static_cast<std::uint32_t>(
-        job.at("config").at("cores").asU64());
-    if (const JsonValue *plane = result.find("plane")) {
-        out.plane = plane->asString();
-        if (const JsonValue *err = result.find("way_quant_error")) {
-            out.wayQuantError = err->asDouble();
-            out.hasWayQuant = true;
-        }
-    } else {
-        out.plane = "sim";
-    }
-
-    out.hasCounters = true;
-    out.intervals = result.at("intervals").asU64();
-    out.recomputes = result.at("recomputes").asU64();
-    out.degradedIntervals =
-        result.at("degraded_intervals").asU64();
-    out.droppedRecomputes =
-        result.at("dropped_recomputes").asU64();
-    out.fallbackEntries = result.at("fallback_entries").asU64();
-    out.invariantViolations =
-        result.at("invariant_violations").asU64();
-    out.ownershipRepairs = result.at("ownership_repairs").asU64();
-    out.faultsInjected = result.at("faults_injected").asU64();
-    out.clampedEq1Inputs =
-        result.at("clamped_eq1_inputs").asU64();
-
-    out.ipc = doubleArray(result.at("ipc"));
-    out.ipcStandalone = doubleArray(result.at("ipc_standalone"));
-    out.hasPerf = !out.ipc.empty() &&
-                  out.ipc.size() == out.ipcStandalone.size();
     if (const JsonValue *qos =
             job.at("config").find("qos_target_frac"))
         out.qosTargetFrac = qos->asDouble();

@@ -127,7 +127,11 @@ Status seriesFromStatsJson(const JsonValue &doc, RunSeries &out);
 Status seriesFromTraceJson(const JsonValue &doc,
                            std::vector<RunSeries> &out);
 
-/** Read one job object of a parsed `prism-bench-v1` document. */
+/**
+ * Read one job object of a parsed `prism-bench-v1` document: its
+ * result through readRunResultFields (the --resume reader) and
+ * attachRunResult, plus the job id and `qos_target_frac`.
+ */
 Status seriesFromBenchJob(const JsonValue &job, RunSeries &out);
 
 /**

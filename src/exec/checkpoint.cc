@@ -139,6 +139,11 @@ readRunResultFields(const JsonValue &obj, RunResult &out)
     r.clampedEq1Inputs = obj.at("clamped_eq1_inputs").asU64();
     r.droppedRecomputes = obj.at("dropped_recomputes").asU64();
     r.fallbackEntries = obj.at("fallback_entries").asU64();
+    // Backend fields: present only for schemes that set them.
+    if (const JsonValue *plane = obj.find("plane")) {
+        r.plane = plane->asString();
+        r.wayQuantError = jsonDouble(obj.at("way_quant_error"));
+    }
 
     out = std::move(r);
     return Status();

@@ -288,7 +288,8 @@ writeSweepJson(std::ostream &os, const SweepSpec &spec,
                const SweepJsonOptions &options,
                const std::function<void(JsonWriter &)> &summary)
 {
-    panicIf(spec.jobs.size() != outcome.results.size(),
+    panicIf(spec.jobs.size() != outcome.results.size() ||
+                spec.jobs.size() != outcome.reports.size(),
             "writeSweepJson: outcome does not match spec");
 
     JsonWriter w(os);
@@ -303,13 +304,6 @@ writeSweepJson(std::ostream &os, const SweepSpec &spec,
         w.endObject();
     }
 
-    // Supervision surfaces only when something deviated from a clean
-    // first-try success; clean runs emit the exact legacy document
-    // (golden files, resume byte-identity).
-    const bool has_reports =
-        outcome.reports.size() == spec.jobs.size();
-    const bool noteworthy = has_reports && outcome.noteworthy();
-
     w.key("jobs");
     w.beginArray();
     for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
@@ -320,10 +314,8 @@ writeSweepJson(std::ostream &os, const SweepSpec &spec,
         w.beginObject();
         writeJobConfig(w, job);
         w.endObject();
-        const bool failed =
-            has_reports && !outcome.reports[i].succeeded();
-        if (failed) {
-            const JobReport &report = outcome.reports[i];
+        const JobReport &report = outcome.reports[i];
+        if (!report.succeeded()) {
             w.key("error");
             w.beginObject();
             w.kv("state", jobStateName(report.state));
@@ -348,7 +340,10 @@ writeSweepJson(std::ostream &os, const SweepSpec &spec,
     }
     w.endArray();
 
-    if (noteworthy) {
+    // Supervision surfaces only when something deviated from a clean
+    // first-try success; clean runs emit the exact legacy document
+    // (golden files, resume byte-identity).
+    if (outcome.noteworthy()) {
         w.key("exec");
         w.beginObject();
         w.kv("completed",

@@ -213,6 +213,7 @@ ServeEngine::run()
         }
 
         arbiter.recompute(snap);
+        sample.evictions = interval_evictions;
 
         if (config_.observer) {
             refresh();

@@ -29,7 +29,9 @@
  * no histogram, so its metrics snapshots stay deterministic
  * (docs/SERVING.md).
  *
- * The engine writes no document itself: the live observer
+ * The engine writes no document itself. Each closed interval
+ * reaches the observer as one IntervalSample, the row type of the
+ * live window and the run's history; the live observer
  * (analysis/online_doctor.hh) renders the run as prism-metrics-v1
  * snapshots, the final one with the whole run's interval rows.
  */
@@ -173,9 +175,10 @@ class ServeObserver
     /**
      * An allocation interval closed (after the arbiter recompute, so
      * @p state carries the *next* distribution while @p sample holds
-     * the one in effect during the interval). @p evictions is the
-     * closed interval's per-tenant eviction row, valid for the call
-     * only.
+     * the one in effect during the interval). @p sample.evictions is
+     * the closed interval's per-tenant eviction row; @p evictions
+     * views the same counts, valid for the call only, and stays for
+     * the observers that read it (perfbench's serve workload).
      */
     virtual void
     onIntervalClosed(const telemetry::IntervalSample &sample,

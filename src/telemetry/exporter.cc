@@ -36,53 +36,36 @@ writeTenantWindowStats(JsonWriter &w, const TenantWindowStats &s)
     w.endObject();
 }
 
+/** The window and history sections: interval rows, as recorded. */
 void
-writeWindowSeries(JsonWriter &w, const SlidingWindow &win)
+writeRows(JsonWriter &w, const IntervalRecorder &rows)
 {
     w.beginObject();
-    w.kv("capacity", static_cast<std::uint64_t>(win.capacity()));
-    w.kv("size", static_cast<std::uint64_t>(win.size()));
-    w.kv("pushed", win.pushed());
+    w.kv("capacity", static_cast<std::uint64_t>(rows.capacity()));
+    w.kv("size", static_cast<std::uint64_t>(rows.size()));
+    w.kv("pushed", rows.recorded());
     std::vector<std::uint64_t> intervals;
-    intervals.reserve(win.size());
-    for (std::size_t i = 0; i < win.size(); ++i)
-        intervals.push_back(win.row(i).interval);
+    intervals.reserve(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        intervals.push_back(rows.sample(i).interval);
     w.kv("interval", std::span<const std::uint64_t>(intervals));
-    const auto seriesD =
-        [&](std::string_view key,
-            const std::vector<double> SlidingWindow::Row::*field) {
-            w.key(key);
+    const auto series = [&](std::string_view key, auto field) {
+        w.key(key);
+        w.beginArray();
+        for (std::size_t i = 0; i < rows.size(); ++i) {
             w.beginArray();
-            for (std::size_t i = 0; i < win.size(); ++i) {
-                const auto &v = win.row(i).*field;
-                w.beginArray();
-                for (const double x : v)
-                    w.value(x);
-                w.endArray();
-            }
+            for (const auto x : rows.sample(i).*field)
+                w.value(x);
             w.endArray();
-        };
-    const auto seriesU =
-        [&](std::string_view key,
-            const std::vector<std::uint64_t>
-                SlidingWindow::Row::*field) {
-            w.key(key);
-            w.beginArray();
-            for (std::size_t i = 0; i < win.size(); ++i) {
-                const auto &v = win.row(i).*field;
-                w.beginArray();
-                for (const std::uint64_t x : v)
-                    w.value(x);
-                w.endArray();
-            }
-            w.endArray();
-        };
-    seriesD("occupancy", &SlidingWindow::Row::occupancy);
-    seriesD("target", &SlidingWindow::Row::target);
-    seriesD("ev_prob", &SlidingWindow::Row::evProb);
-    seriesU("hits", &SlidingWindow::Row::hits);
-    seriesU("misses", &SlidingWindow::Row::misses);
-    seriesU("evictions", &SlidingWindow::Row::evictions);
+        }
+        w.endArray();
+    };
+    series("occupancy", &IntervalSample::occupancy);
+    series("target", &IntervalSample::target);
+    series("ev_prob", &IntervalSample::evProb);
+    series("hits", &IntervalSample::hits);
+    series("misses", &IntervalSample::misses);
+    series("evictions", &IntervalSample::evictions);
     w.endObject();
 }
 
@@ -156,7 +139,6 @@ MetricsExporter::flush(const MetricsSnapshot &snap)
         if (!st)
             return st;
     }
-    ++exports_;
     return Status();
 }
 
@@ -226,11 +208,11 @@ MetricsExporter::writeJson(std::ostream &os,
 
     if (snap.window) {
         w.key("window");
-        writeWindowSeries(w, *snap.window);
+        writeRows(w, snap.window->rows());
     }
     if (snap.history) {
         w.key("history");
-        writeWindowSeries(w, *snap.history);
+        writeRows(w, *snap.history);
     }
 
     if (!snap.doctorOverall.empty()) {

@@ -11,12 +11,14 @@
  * never the wall clock. A serve run's final snapshot is its only
  * document: besides the live window it carries a "history" section,
  * the run's interval rows up to ServeConfig::recorderCapacity, which
- * the doctor grades instead of the window. Rendering walks fixed key
- * orders and sorted metric names through JsonWriter, so the same
- * round of the same run produces byte-identical files at any
- * --threads value, and the live plane can be golden-tested like the
- * offline artifacts
- * (docs/OBSERVABILITY.md, "Live metrics & online doctor").
+ * the doctor grades instead of the window. Both sections are
+ * IntervalSample rows held in an IntervalRecorder, and one routine
+ * renders them ("pushed" is the recorder's recorded()). Rendering
+ * walks fixed key orders and sorted metric names through JsonWriter,
+ * so the same round of the same run produces byte-identical files at
+ * any --threads value, and the live plane can be golden-tested like
+ * the offline artifacts (docs/OBSERVABILITY.md, "Live metrics &
+ * online doctor").
  *
  * Files are written with writeFileAtomic (tmp + fsync + rename): a
  * tailing reader such as prism_top never observes a torn snapshot.
@@ -102,10 +104,10 @@ struct MetricsSnapshot
     std::uint64_t droppedSamples = 0;
     std::uint64_t droppedEvents = 0;
 
-    /** Live window; adds per-tenant window stats + series section. */
+    /** Live window; adds per-tenant window stats + its rows. */
     const SlidingWindow *window = nullptr;
     /** Whole-run interval rows ("history"); final snapshots only. */
-    const SlidingWindow *history = nullptr;
+    const IntervalRecorder *history = nullptr;
 
     // Online-doctor verdict; rendered when doctorOverall non-empty.
     std::string doctorOverall;
@@ -126,10 +128,10 @@ struct ExporterConfig
 };
 
 /**
- * Periodic snapshot writer. due()/exportIfDue() implement the
- * `--metrics-every N` cadence on the round counter; flush() is the
- * unconditional final write both drivers perform on exit (including
- * the SIGINT/SIGTERM path).
+ * Periodic snapshot writer. due() implements the `--metrics-every N`
+ * cadence on the round counter; flush() writes the configured files,
+ * on that cadence and once more on exit (including the SIGINT/SIGTERM
+ * path).
  */
 class MetricsExporter
 {
@@ -156,18 +158,8 @@ class MetricsExporter
                round % config_.every == 0;
     }
 
-    /** Write the configured outputs when due(@p round). */
-    Status
-    exportIfDue(std::uint64_t round, const MetricsSnapshot &snap)
-    {
-        return due(round) ? flush(snap) : Status();
-    }
-
     /** Unconditionally write the configured outputs. */
     Status flush(const MetricsSnapshot &snap);
-
-    /** Snapshots written so far (each flush counts once). */
-    std::uint64_t exports() const { return exports_; }
 
     /** Render @p snap as a prism-metrics-v1 document. */
     static void writeJson(std::ostream &os,
@@ -179,7 +171,6 @@ class MetricsExporter
 
   private:
     ExporterConfig config_;
-    std::uint64_t exports_ = 0;
 };
 
 } // namespace prism::telemetry

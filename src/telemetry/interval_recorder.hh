@@ -13,6 +13,11 @@
  * The recorder is single-writer (one simulation thread); in sweeps
  * each job owns its own recorder, so no synchronisation is needed
  * and the recorded series is deterministic at any thread count.
+ *
+ * IntervalSample is also the serve plane's interval row: the live
+ * observer keeps its sliding window and the run's history in
+ * recorders of these samples, and the prism-metrics-v1 exporter
+ * renders both from them (telemetry/window.hh).
  */
 
 #ifndef PRISM_TELEMETRY_INTERVAL_RECORDER_HH
@@ -66,6 +71,13 @@ struct IntervalSample
     // PriSM-only series; empty under other schemes.
     std::vector<double> target; ///< T_i from the allocation policy
     std::vector<double> evProb; ///< E_i after quantisation/repair
+
+    /**
+     * Serve only: objects evicted per tenant in the interval, filled
+     * by ServeEngine. The simulator leaves it empty and TraceWriter
+     * does not write it.
+     */
+    std::vector<std::uint64_t> evictions;
 };
 
 /** Kinds of instant events the trace can carry. */

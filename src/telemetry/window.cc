@@ -1,7 +1,6 @@
 #include "telemetry/window.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 
@@ -50,43 +49,22 @@ quantileSorted(const std::vector<double> &sorted, double q)
 
 SlidingWindow::SlidingWindow(std::uint32_t tenants,
                              WindowConfig config)
-    : tenants_(tenants), config_(config), ewma_(tenants)
+    : tenants_(tenants), config_(config),
+      rows_(std::max<std::size_t>(1, config.capacity)), ewma_(tenants)
 {
-    if (config_.capacity == 0)
-        config_.capacity = 1;
-    ring_.reserve(config_.capacity);
 }
 
 void
-SlidingWindow::push(const IntervalSample &sample,
-                    std::span<const std::uint64_t> evictions)
+SlidingWindow::push(const IntervalSample &sample)
 {
-    Row row;
-    row.interval = sample.interval;
-    row.occupancy.resize(tenants_);
-    row.target.resize(tenants_);
-    row.evProb.resize(tenants_);
-    row.hits.resize(tenants_);
-    row.misses.resize(tenants_);
-    row.evictions.resize(tenants_);
-    for (std::uint32_t t = 0; t < tenants_; ++t) {
-        row.occupancy[t] = at(sample.occupancy, t);
-        row.target[t] = at(sample.target, t);
-        row.evProb[t] = at(sample.evProb, t);
-        row.hits[t] = at(sample.hits, t);
-        row.misses[t] = at(sample.misses, t);
-        row.evictions[t] =
-            t < evictions.size() ? evictions[t] : 0;
-    }
-
     // Fold the interval into the EWMA state before the ring may
     // drop it: drift tracks the whole stream, not just the window.
     for (std::uint32_t t = 0; t < tenants_; ++t) {
-        const double acc =
-            static_cast<double>(row.hits[t] + row.misses[t]);
+        const std::uint64_t hits = at(sample.hits, t);
+        const std::uint64_t misses = at(sample.misses, t);
+        const double acc = static_cast<double>(hits + misses);
         const double miss_rate =
-            acc > 0.0 ? static_cast<double>(row.misses[t]) / acc
-                      : 0.0;
+            acc > 0.0 ? static_cast<double>(misses) / acc : 0.0;
         const double slowdown =
             1.0 + miss_rate * (config_.missPenalty - 1.0);
         Ewma &e = ewma_[t];
@@ -109,34 +87,14 @@ SlidingWindow::push(const IntervalSample &sample,
                          (1.0 - config_.ewmaAlpha) * e.slowdown;
         }
     }
-
-    if (ring_.size() < config_.capacity) {
-        ring_.push_back(std::move(row));
-    } else {
-        ring_[head_] = std::move(row);
-        head_ = (head_ + 1) % config_.capacity;
-    }
-    ++pushed_;
-}
-
-const SlidingWindow::Row &
-SlidingWindow::row(std::size_t i) const
-{
-    assert(i < ring_.size());
-    return ring_[(head_ + i) % ring_.size()];
-}
-
-std::uint64_t
-SlidingWindow::lastInterval() const
-{
-    return ring_.empty() ? 0 : row(ring_.size() - 1).interval;
+    rows_.record(sample);
 }
 
 TenantWindowStats
 SlidingWindow::stats(std::uint32_t t) const
 {
     TenantWindowStats s;
-    s.intervals = ring_.size();
+    s.intervals = rows_.size();
     if (t < ewma_.size()) {
         const Ewma &e = ewma_[t];
         s.ewmaMissRate = e.missRate;
@@ -144,30 +102,32 @@ SlidingWindow::stats(std::uint32_t t) const
         s.ewmaSlowdown = e.slowdown;
         s.slowdownDrift = e.slowdownDrift;
     }
-    if (ring_.empty() || t >= tenants_)
+    if (rows_.size() == 0 || t >= tenants_)
         return s;
 
     std::vector<double> hit_ratios;
     std::vector<double> slowdowns;
-    hit_ratios.reserve(ring_.size());
-    slowdowns.reserve(ring_.size());
+    hit_ratios.reserve(rows_.size());
+    slowdowns.reserve(rows_.size());
     double churn_sum = 0.0;
     double prev_ev_prob = 0.0;
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-        const Row &r = row(i);
-        s.hits += r.hits[t];
-        s.misses += r.misses[t];
-        s.evictions += r.evictions[t];
-        const double acc =
-            static_cast<double>(r.hits[t] + r.misses[t]);
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        const IntervalSample &r = rows_.sample(i);
+        const std::uint64_t hits = at(r.hits, t);
+        const std::uint64_t misses = at(r.misses, t);
+        const double ev_prob = at(r.evProb, t);
+        s.hits += hits;
+        s.misses += misses;
+        s.evictions += at(r.evictions, t);
+        const double acc = static_cast<double>(hits + misses);
         const double hr =
-            acc > 0.0 ? static_cast<double>(r.hits[t]) / acc : 1.0;
+            acc > 0.0 ? static_cast<double>(hits) / acc : 1.0;
         hit_ratios.push_back(hr);
         slowdowns.push_back(
             1.0 + (1.0 - hr) * (config_.missPenalty - 1.0));
         if (i > 0)
-            churn_sum += std::fabs(r.evProb[t] - prev_ev_prob);
-        prev_ev_prob = r.evProb[t];
+            churn_sum += std::fabs(ev_prob - prev_ev_prob);
+        prev_ev_prob = ev_prob;
     }
     const double acc = static_cast<double>(s.hits + s.misses);
     s.hitRatio =
@@ -175,9 +135,9 @@ SlidingWindow::stats(std::uint32_t t) const
     s.missRate = acc > 0.0 ? 1.0 - s.hitRatio : 0.0;
     s.slowdown =
         1.0 + (1.0 - s.hitRatio) * (config_.missPenalty - 1.0);
-    s.churn = ring_.size() > 1
+    s.churn = rows_.size() > 1
                   ? churn_sum /
-                        static_cast<double>(ring_.size() - 1)
+                        static_cast<double>(rows_.size() - 1)
                   : 0.0;
 
     std::sort(hit_ratios.begin(), hit_ratios.end());

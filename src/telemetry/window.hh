@@ -22,11 +22,13 @@
  * most K values per query), not an approximate sketch: K is small
  * (default 64) and determinism is worth more here than O(log K).
  *
- * The serve observer keeps two windows over the same stream: the
- * live one (K = --window) and the run's history (K =
- * ServeConfig::recorderCapacity, default 4096). The history is read
- * only once the run has ended: a final snapshot renders its rows and
- * the doctor grades them.
+ * The window's rows are the engine's IntervalSamples, kept as pushed
+ * in an IntervalRecorder of capacity max(1, K); the window adds only
+ * the EWMA state and stats(). The serve observer also keeps the
+ * run's history, a plain IntervalRecorder of capacity
+ * max(1, ServeConfig::recorderCapacity), which only a snapshot taken
+ * after the run ended renders and the doctor then grades. Both
+ * sections are written by one exporter routine.
  */
 
 #ifndef PRISM_TELEMETRY_WINDOW_HH
@@ -34,7 +36,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "telemetry/interval_recorder.hh"
@@ -90,48 +91,21 @@ struct TenantWindowStats
     double slowdownDrift = 0.0;
 };
 
-/** Bounded ring of the last K closed intervals, per-tenant stats. */
+/** The last K closed intervals, with per-tenant stats over them. */
 class SlidingWindow
 {
   public:
-    /** One retained interval; parallel vectors indexed by tenant. */
-    struct Row
-    {
-        std::uint64_t interval = 0;
-        std::vector<double> occupancy;
-        std::vector<double> target;
-        std::vector<double> evProb;
-        std::vector<std::uint64_t> hits;
-        std::vector<std::uint64_t> misses;
-        std::vector<std::uint64_t> evictions;
-    };
-
     SlidingWindow(std::uint32_t tenants, WindowConfig config = {});
 
-    std::uint32_t tenants() const { return tenants_; }
-    std::size_t capacity() const { return config_.capacity; }
-    const WindowConfig &config() const { return config_; }
-
     /**
-     * Fold one closed interval into the window. @p evictions is the
-     * per-tenant eviction count for that interval (may be empty).
-     * The sample's per-tenant vectors may be shorter than the tenant
-     * count; missing entries read as zero.
+     * Fold one closed interval into the window. The sample's
+     * per-tenant vectors (evictions included) may be shorter than the
+     * tenant count; stats() reads missing entries as zero.
      */
-    void push(const IntervalSample &sample,
-              std::span<const std::uint64_t> evictions);
+    void push(const IntervalSample &sample);
 
-    /** Retained intervals (<= capacity). */
-    std::size_t size() const { return ring_.size(); }
-
-    /** Intervals ever pushed, including ones that fell out. */
-    std::uint64_t pushed() const { return pushed_; }
-
-    /** Retained row @p i, 0 = oldest retained. */
-    const Row &row(std::size_t i) const;
-
-    /** 1-based index of the newest retained interval (0 if empty). */
-    std::uint64_t lastInterval() const;
+    /** The retained intervals, oldest first, stored as pushed. */
+    const IntervalRecorder &rows() const { return rows_; }
 
     /** Rollup for tenant @p t over the current window. */
     TenantWindowStats stats(std::uint32_t t) const;
@@ -139,10 +113,7 @@ class SlidingWindow
   private:
     std::uint32_t tenants_;
     WindowConfig config_;
-
-    std::vector<Row> ring_; ///< grows to capacity, then wraps
-    std::size_t head_ = 0;  ///< next write position once full
-    std::uint64_t pushed_ = 0;
+    IntervalRecorder rows_;
 
     // EWMA state survives ring wrap: one entry per tenant.
     struct Ewma

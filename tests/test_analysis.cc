@@ -397,6 +397,12 @@ TEST(RunSpecParse, RejectsBadInput)
     EXPECT_FALSE(parseRunSpec("--qos-frac nan", spec).ok());
     EXPECT_FALSE(parseRunSpec("--qos-frac -1", spec).ok());
     EXPECT_FALSE(parseRunSpec("--qos-frac 1.5", spec).ok());
+    // Mix names must be known profiles, and a workload fixes the
+    // core count that --cores may only restate.
+    EXPECT_FALSE(parseRunSpec("--mix 403.gcc,nosuch.bench", spec).ok());
+    EXPECT_FALSE(parseRunSpec("--workload Q7 --cores 8", spec).ok());
+    ASSERT_TRUE(parseRunSpec("--workload Q7 --cores 4", spec).ok());
+    EXPECT_EQ(spec.machine.numCores, 4u);
     // Default spec is the 4-core paper machine under PriSM-H.
     ASSERT_TRUE(parseRunSpec("", spec).ok());
     EXPECT_EQ(spec.scheme, SchemeKind::PrismH);

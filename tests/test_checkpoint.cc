@@ -78,6 +78,17 @@ fakeResult(double ipc0 = 0.75)
     return r;
 }
 
+/** fakeResult shaped as a PriSM-WM job, backend fields included. */
+RunResult
+fakeWayMaskResult()
+{
+    RunResult r = fakeResult();
+    r.scheme = "PriSM-WM";
+    r.plane = "way-mask";
+    r.wayQuantError = 0.0625;
+    return r;
+}
+
 std::string
 serialise(const RunResult &r)
 {
@@ -182,26 +193,37 @@ TEST(RunResultRoundTrip, EveryFieldSurvives)
     EXPECT_EQ(back.droppedRecomputes, r.droppedRecomputes);
     EXPECT_EQ(back.fallbackEntries, r.fallbackEntries);
     EXPECT_EQ(back.recorder, nullptr);
+    EXPECT_TRUE(back.plane.empty());
+
+    // A PriSM-WM result also carries its backend fields.
+    const RunResult wm = fakeWayMaskResult();
+    ASSERT_TRUE(parseJson(serialise(wm), doc).ok());
+    ASSERT_TRUE(readRunResultFields(doc, back).ok());
+    EXPECT_EQ(back.scheme, "PriSM-WM");
+    EXPECT_EQ(back.plane, wm.plane);
+    EXPECT_EQ(back.wayQuantError, wm.wayQuantError);
 }
 
 TEST(RunResultRoundTrip, ReserialisationIsByteIdentical)
 {
     // The property --resume byte-identity rests on: serialise,
     // restore, serialise again — identical bytes, NaN included
-    // (non-finite doubles pass through JSON null).
-    RunResult r = fakeResult();
-    r.ipc[1] = std::numeric_limits<double>::quiet_NaN();
-    r.victimlessFraction =
-        std::numeric_limits<double>::quiet_NaN();
+    // (non-finite doubles pass through JSON null), for simulator and
+    // PriSM-WM results alike.
+    for (RunResult r : {fakeResult(), fakeWayMaskResult()}) {
+        r.ipc[1] = std::numeric_limits<double>::quiet_NaN();
+        r.victimlessFraction =
+            std::numeric_limits<double>::quiet_NaN();
 
-    const std::string first = serialise(r);
-    JsonValue doc;
-    ASSERT_TRUE(parseJson(first, doc).ok());
-    RunResult back;
-    ASSERT_TRUE(readRunResultFields(doc, back).ok());
-    EXPECT_TRUE(std::isnan(back.ipc[1]));
-    EXPECT_TRUE(std::isnan(back.victimlessFraction));
-    EXPECT_EQ(serialise(back), first);
+        const std::string first = serialise(r);
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(first, doc).ok());
+        RunResult back;
+        ASSERT_TRUE(readRunResultFields(doc, back).ok());
+        EXPECT_TRUE(std::isnan(back.ipc[1]));
+        EXPECT_TRUE(std::isnan(back.victimlessFraction));
+        EXPECT_EQ(serialise(back), first) << r.scheme;
+    }
 }
 
 // --- corrupt checkpoint rejection ---

@@ -185,6 +185,25 @@ TEST(Cli, MixCoreCountMismatchFails)
     EXPECT_NE(out.find("--mix"), std::string::npos);
 }
 
+TEST(Cli, UnknownMixBenchmarkAndWorkloadCoreMismatchFailBeforeTheRun)
+{
+    // Both used to get past the parser: the unknown name exited 1
+    // from the profile lookup, and --cores 8 ran Q7 on 4 cores.
+    const auto [code, out] = run(
+        "--mix 403.gcc,nosuch.bench --instr 30000 --warmup 10000");
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("unknown benchmark 'nosuch.bench'"),
+              std::string::npos)
+        << out;
+
+    const auto [code2, out2] = run(
+        "--workload Q7 --cores 8 --instr 30000 --warmup 10000");
+    EXPECT_EQ(code2, 2) << out2;
+    EXPECT_NE(out2.find("--cores"), std::string::npos) << out2;
+    EXPECT_EQ(out2.find("ANTT"), std::string::npos)
+        << "a usage error must not print a results table: " << out2;
+}
+
 TEST(Cli, BadFaultSpecFails)
 {
     const auto [code, out] = run(

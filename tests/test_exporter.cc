@@ -102,8 +102,9 @@ slurp(const std::filesystem::path &path)
 TEST(MetricsExporterJson, RendersDeterministicallyAndParsesBack)
 {
     SlidingWindow win(2);
-    win.push(sampleOf(1, {100, 200}, {50, 50}, {0.5, 0.5}),
-             std::vector<std::uint64_t>{10, 20});
+    IntervalSample sample = sampleOf(1, {100, 200}, {50, 50}, {0.5, 0.5});
+    sample.evictions = {10, 20};
+    win.push(sample);
     MetricsRegistry reg;
     reg.counter("serve.gets").add(42);
 
@@ -264,7 +265,7 @@ TEST(MetricsExporterCadence, DueFollowsEveryOnTheRoundCounter)
     EXPECT_TRUE(every4.due(8));
 }
 
-TEST(MetricsExporterFlush, WritesBothFilesAtomicallyAndCounts)
+TEST(MetricsExporterFlush, WritesBothFilesAtomically)
 {
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() /
@@ -280,12 +281,7 @@ TEST(MetricsExporterFlush, WritesBothFilesAtomicallyAndCounts)
     snap.run = "serve/PriSM-H";
     snap.round = 2;
 
-    ASSERT_TRUE(exporter.exportIfDue(1, snap).ok());
-    EXPECT_EQ(exporter.exports(), 0u) << "round 1 is not due";
-    ASSERT_TRUE(exporter.exportIfDue(2, snap).ok());
-    EXPECT_EQ(exporter.exports(), 1u);
     ASSERT_TRUE(exporter.flush(snap).ok());
-    EXPECT_EQ(exporter.exports(), 2u);
 
     JsonValue doc;
     ASSERT_TRUE(parseJson(slurp(json_path), doc).ok());
@@ -304,5 +300,4 @@ TEST(MetricsExporterFlush, UnwritablePathReportsAnError)
     snap.source = "serve";
     snap.run = "serve/PriSM-H";
     EXPECT_FALSE(exporter.flush(snap).ok());
-    EXPECT_EQ(exporter.exports(), 0u);
 }

@@ -104,8 +104,8 @@ runLive(ServeConfig config, std::uint32_t threads,
     LiveRun out;
     out.result = engine.run();
     out.snapshotJson = renderSnapshot(observer);
-    if (observer.doctorEnabled() && observer.doctor().evaluated())
-        out.verdictJson = renderVerdict(observer.doctor().verdict());
+    if (const Verdict *verdict = observer.verdict())
+        out.verdictJson = renderVerdict(*verdict);
     return out;
 }
 
@@ -139,8 +139,8 @@ class PeriodicTap final : public ServeObserver
         if (state.rounds != round_)
             return;
         json = renderSnapshot(inner_);
-        if (inner_.doctorEnabled())
-            verdictJson = renderVerdict(inner_.doctor().verdict());
+        if (const Verdict *verdict = inner_.verdict())
+            verdictJson = renderVerdict(*verdict);
     }
 
     void
@@ -184,9 +184,8 @@ runTapped(LiveObserverOptions live)
     out.periodicJson = tap.json;
     out.periodicVerdictJson = tap.verdictJson;
     out.finalJson = renderSnapshot(observer);
-    if (observer.doctorEnabled())
-        out.finalVerdictJson =
-            renderVerdict(observer.doctor().verdict());
+    if (const Verdict *verdict = observer.verdict())
+        out.finalVerdictJson = renderVerdict(*verdict);
     return out;
 }
 
@@ -335,7 +334,7 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
 
     ASSERT_FALSE(run.verdictJson.empty());
     EXPECT_EQ(run.verdictJson,
-              offlineVerdict(run.snapshotJson, live.thresholds))
+              offlineVerdict(run.snapshotJson, DoctorThresholds{}))
         << "the embedded online verdict must equal the offline "
            "re-analysis of the same snapshot";
 
@@ -345,9 +344,9 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
     const TappedRun tapped = runTapped(live);
     ASSERT_FALSE(tapped.periodicVerdictJson.empty());
     EXPECT_EQ(tapped.periodicVerdictJson,
-              offlineVerdict(tapped.periodicJson, live.thresholds));
+              offlineVerdict(tapped.periodicJson, DoctorThresholds{}));
     EXPECT_EQ(tapped.finalVerdictJson,
-              offlineVerdict(tapped.finalJson, live.thresholds));
+              offlineVerdict(tapped.finalJson, DoctorThresholds{}));
 }
 
 TEST(LivePlane, RaisedStopFlagEndsTheRunWithSnapshotIntact)

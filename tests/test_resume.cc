@@ -3,11 +3,11 @@
  * End-to-end fault-tolerance tests for prism_bench, exercised as a
  * subprocess: crash-safe checkpoint/resume byte-identity (a SIGKILLed
  * sweep resumed with --resume merges to exactly the bytes of an
- * uninterrupted run, at any thread count), chaos-injected failure
- * salvage and quarantine, the non-zero exit contract, the SIGTERM
- * stop contract, corrupt checkpoint recovery, and prism_doctor's
- * checkpoint/manifest verdicts. This is the acceptance suite for
- * docs/RELIABILITY.md.
+ * uninterrupted run, at any thread count and with PriSM-WM's backend
+ * fields), chaos-injected failure salvage and quarantine, the
+ * non-zero exit contract, the SIGTERM stop contract, corrupt
+ * checkpoint recovery, and prism_doctor's checkpoint/manifest
+ * verdicts. This is the acceptance suite for docs/RELIABILITY.md.
  */
 
 #include <gtest/gtest.h>
@@ -199,6 +199,41 @@ TEST_P(ResumeByteIdentity, KilledSweepResumesToIdenticalBytes)
 
 INSTANTIATE_TEST_SUITE_P(Threads, ResumeByteIdentity,
                          testing::Values(1u, 2u, 8u));
+
+TEST(Resume, KilledWayMaskSweepKeepsPrismWmBackendFields)
+{
+    // PriSM-WM results also write "plane" and "way_quant_error"; a
+    // job restored from the checkpoint must write them as well. On
+    // one thread the third checkpointed job is Q1/PriSM-WM.
+    const std::string base_dir = scratchDir("waymask_base");
+    const std::string res_dir = scratchDir("waymask_res");
+    const std::string ckpt = res_dir + "/waymask.ckpt.json";
+    const std::string bench =
+        "PRISM_BENCH_SCALE=0.02 PRISM_BENCH_WORKLOADS=1 " + benchBin();
+    const std::string sweep = "waymask --no-timing --threads 1 --out ";
+
+    const RunOutcome ref = run(bench, sweep + base_dir);
+    ASSERT_TRUE(ref.cleanExit()) << ref.out;
+    const std::string golden = slurp(base_dir + "/BENCH_waymask.json");
+    ASSERT_NE(golden.find("\"plane\": \"way-mask\""), std::string::npos)
+        << golden;
+
+    const RunOutcome killed =
+        run(bench, sweep + res_dir + " --ckpt " + ckpt + " --die-after 3");
+    EXPECT_FALSE(killed.cleanExit()) << killed.out;
+    ASSERT_EQ(checkpointJobs(ckpt), 3u);
+
+    const RunOutcome resumed =
+        run(bench, sweep + res_dir + " --ckpt " + ckpt + " --resume");
+    ASSERT_TRUE(resumed.cleanExit()) << resumed.out;
+    EXPECT_NE(resumed.out.find("resume: restoring 3"), std::string::npos)
+        << resumed.out;
+    EXPECT_EQ(slurp(res_dir + "/BENCH_waymask.json"), golden)
+        << "the restored PriSM-WM job must keep its backend fields";
+
+    std::filesystem::remove_all(base_dir);
+    std::filesystem::remove_all(res_dir);
+}
 
 TEST(Resume, SigtermSavesCheckpointAndResumesToGolden)
 {

@@ -95,7 +95,7 @@ struct ServeRun
     /** The final snapshot: the run's document. */
     std::string json;
     /** The observer's history rows, oldest first. */
-    std::vector<telemetry::SlidingWindow::Row> history;
+    std::vector<telemetry::IntervalSample> history;
 };
 
 ServeRun
@@ -110,7 +110,7 @@ runServe(ServeConfig config, std::uint32_t threads)
     telemetry::MetricsExporter::writeJson(os, observer.snapshot());
     out.json = os.str();
     for (std::size_t i = 0; i < observer.history().size(); ++i)
-        out.history.push_back(observer.history().row(i));
+        out.history.push_back(observer.history().sample(i));
     return out;
 }
 
@@ -150,7 +150,7 @@ TEST(ServeVictimMatch, EvictionFrequenciesFollowEq1)
     const std::size_t tenants = config.tenants.size();
     std::vector<double> expected(tenants, 0.0);
     std::vector<double> observed(tenants, 0.0);
-    for (const telemetry::SlidingWindow::Row &row : run.history) {
+    for (const telemetry::IntervalSample &row : run.history) {
         ASSERT_EQ(row.evProb.size(), tenants);
         ASSERT_EQ(row.evictions.size(), tenants);
         std::uint64_t row_total = 0;
@@ -194,7 +194,7 @@ TEST(ServeVictimMatch, TenantEvictionTotalsAreConsistent)
     EXPECT_EQ(sum, result.evictions);
     ASSERT_EQ(result.intervals, run.history.size());
     std::uint64_t in_rows = 0;
-    for (const telemetry::SlidingWindow::Row &row : run.history)
+    for (const telemetry::IntervalSample &row : run.history)
         for (const std::uint64_t v : row.evictions)
             in_rows += v;
     EXPECT_EQ(in_rows, result.evictions);

@@ -284,10 +284,7 @@ main(int argc, char **argv)
             misses += t.misses;
         }
         const std::uint64_t accesses = hits + misses;
-        std::cout << "prism_serve: policy "
-                  << (config.policy == 'H'   ? "HitMax"
-                      : config.policy == 'F' ? "Fair"
-                                             : "QoS")
+        std::cout << "prism_serve: policy " << policyName(config.policy)
                   << ", " << config.tenants.size() << " tenant(s), "
                   << result.ops << " ops in " << result.rounds
                   << " round(s)\n";
@@ -321,8 +318,7 @@ main(int argc, char **argv)
     if (live.onlineDoctor) {
         // Graded in onRunEnd over the whole run's history: the
         // verdict prism_doctor gives on the final snapshot.
-        const analysis::Verdict &verdict =
-            observer->doctor().verdict();
+        const analysis::Verdict &verdict = *observer->verdict();
         analysis::printReport(std::cout, verdict);
         if (verdict.overall == analysis::FindingStatus::Fail)
             rc = 1;
