@@ -21,7 +21,6 @@
 #include "common/atomic_file.hh"
 #include "common/parse.hh"
 #include "exec/checkpoint.hh"
-#include "telemetry/exporter.hh"
 #include "telemetry/trace_writer.hh"
 
 namespace prism::bench
@@ -362,10 +361,8 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
 
     const bool tracing =
         !options.tracePath.empty() || !options.traceCsvPath.empty();
-    const bool exporting = !options.metricsOutPath.empty() ||
-                           !options.metricsPromPath.empty();
     telemetry::MetricsRegistry metrics;
-    if (tracing || exporting || options.doctor) {
+    if (tracing || options.doctor) {
         // Turn recording on for every job (passive observation: it
         // perturbs no simulation state, so tables and BENCH JSON are
         // unchanged). Jobs the figure already configured keep their
@@ -375,33 +372,10 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
                 job.options.telemetry.enabled = true;
                 job.options.telemetry.capacity = options.traceCapacity;
             }
-            if (tracing || exporting)
+            if (tracing)
                 job.options.telemetry.metrics = &metrics;
         }
     }
-
-    // --- live metrics exposition -----------------------------------
-    telemetry::MetricsExporter exporter(telemetry::ExporterConfig{
-        options.metricsOutPath, options.metricsPromPath,
-        options.metricsEvery});
-    const auto benchSnapshot =
-        [&metrics, &fig](std::uint64_t completed, std::uint64_t total,
-                         std::uint64_t ops, std::uint64_t intervals,
-                         std::uint64_t dropped_samples,
-                         std::uint64_t dropped_events) {
-            telemetry::MetricsSnapshot snap;
-            snap.source = "bench";
-            snap.run = fig.id;
-            snap.round = completed;
-            snap.ops = ops;
-            snap.intervals = intervals;
-            snap.jobsCompleted = completed;
-            snap.jobsTotal = total;
-            snap.droppedSamples = dropped_samples;
-            snap.droppedEvents = dropped_events;
-            snap.metrics = &metrics;
-            return snap;
-        };
 
     // --- checkpoint writer -----------------------------------------
     std::unique_ptr<CheckpointWriter> ckpt_writer;
@@ -438,28 +412,12 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
     if (options.stopFlag)
         runner.setStopFlag(options.stopFlag);
 
-    // Mid-run cumulative counters for the periodic snapshots; the
-    // runner serialises observer calls, so plain fields suffice.
-    struct LiveTotals
-    {
-        std::uint64_t ops = 0;
-        std::uint64_t intervals = 0;
-        std::uint64_t droppedSamples = 0;
-        std::uint64_t droppedEvents = 0;
-    };
-    auto live_totals = std::make_shared<LiveTotals>();
-
-    const bool periodic_metrics =
-        exporting && options.metricsEvery > 0;
-    if (options.progress || ckpt_writer || periodic_metrics) {
+    if (options.progress || ckpt_writer) {
         CheckpointWriter *writer = ckpt_writer.get();
         const bool progress = options.progress;
         const unsigned die_after = options.dieAfter;
-        telemetry::MetricsExporter *exp =
-            periodic_metrics ? &exporter : nullptr;
         auto executed = std::make_shared<std::atomic<unsigned>>(0);
-        runner.setJobObserver([writer, progress, die_after, executed,
-                               exp, live_totals, &benchSnapshot](
+        runner.setJobObserver([writer, progress, die_after, executed](
                                   const SweepJob &job,
                                   const RunResult &r,
                                   const SweepRunner::JobProgress &p) {
@@ -497,63 +455,12 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
                     std::raise(SIGKILL);
                 }
             }
-            if (exp) {
-                for (const std::uint64_t h : r.llcHits)
-                    live_totals->ops += h;
-                for (const std::uint64_t m : r.llcMisses)
-                    live_totals->ops += m;
-                live_totals->intervals += r.intervals;
-                if (r.recorder) {
-                    live_totals->droppedSamples +=
-                        r.recorder->droppedSamples();
-                    live_totals->droppedEvents +=
-                        r.recorder->droppedEvents();
-                }
-                if (exp->due(p.done)) {
-                    if (const Status st = exp->flush(benchSnapshot(
-                            p.done, p.total, live_totals->ops,
-                            live_totals->intervals,
-                            live_totals->droppedSamples,
-                            live_totals->droppedEvents));
-                        !st.ok())
-                        std::cerr << "prism_bench: metrics "
-                                     "snapshot failed: "
-                                  << st.message() << "\n";
-                }
-            }
         });
     }
 
     const SweepOutcome outcome =
         runner.run(spec, have_resume ? &resume_data : nullptr);
     const SweepResults results(spec, outcome);
-
-    // The final snapshot recomputes its totals from the outcome in
-    // spec order, so it is byte-identical at any --threads value
-    // even though the periodic snapshots are completion-ordered.
-    const auto flushFinalMetrics = [&]() -> Status {
-        if (!exporting)
-            return Status();
-        std::uint64_t ops = 0, intervals = 0;
-        std::uint64_t dropped_samples = 0, dropped_events = 0;
-        for (const RunResult &r : outcome.results) {
-            for (const std::uint64_t h : r.llcHits)
-                ops += h;
-            for (const std::uint64_t m : r.llcMisses)
-                ops += m;
-            intervals += r.intervals;
-            if (r.recorder) {
-                dropped_samples += r.recorder->droppedSamples();
-                dropped_events += r.recorder->droppedEvents();
-            }
-        }
-        const std::uint64_t completed =
-            outcome.countState(JobState::Done) +
-            outcome.countState(JobState::Recovered);
-        return exporter.flush(benchSnapshot(
-            completed, spec.jobs.size(), ops, intervals,
-            dropped_samples, dropped_events));
-    };
 
     if (outcome.stopped) {
         const std::uint64_t completed =
@@ -570,11 +477,6 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
                       << " completed job(s) lost (run with --ckpt "
                          "FILE to make sweeps resumable)\n";
         }
-        // The metrics file still gets its final state: a tailing
-        // prism_top sees where the interrupted sweep stopped.
-        if (const Status st = flushFinalMetrics(); !st.ok())
-            std::cerr << "prism_bench: metrics snapshot failed: "
-                      << st.message() << "\n";
         return 130;
     }
 
@@ -622,11 +524,14 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
     }
 
     if (tracing) {
+        // Jobs without a recorder (quarantined, or restored from a
+        // checkpoint) have no series to trace; quarantines appear
+        // through the exec process below.
         std::vector<telemetry::TraceJob> trace_jobs;
         trace_jobs.reserve(spec.jobs.size() + 1);
         for (std::size_t i = 0; i < spec.jobs.size(); ++i)
-            trace_jobs.push_back({spec.jobs[i].id,
-                                  outcome.results[i].recorder.get()});
+            if (const auto *rec = outcome.results[i].recorder.get())
+                trace_jobs.push_back({spec.jobs[i].id, rec});
 
         // Exec timeline: retries/timeouts/quarantines as a pseudo-job
         // built from the reports in spec order (deterministic at any
@@ -719,20 +624,6 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
     }
 
     int rc = degraded ? 1 : 0;
-
-    if (exporting) {
-        if (const Status st = flushFinalMetrics(); !st.ok()) {
-            std::cerr << "prism_bench: cannot write metrics "
-                         "snapshot: "
-                      << st.message() << "\n";
-            rc = 1;
-        } else {
-            if (!options.metricsOutPath.empty())
-                os << "wrote " << options.metricsOutPath << "\n";
-            if (!options.metricsPromPath.empty())
-                os << "wrote " << options.metricsPromPath << "\n";
-        }
-    }
 
     if (options.doctor) {
         analysis::ExecSeries exec_series;

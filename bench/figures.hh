@@ -11,7 +11,10 @@
  *
  * `prism_bench` runs a figure by id (`prism_bench fig02_summary`)
  * through runFigure(), which fans the sweep across a thread pool
- * (`--threads`) and emits machine-readable JSON.
+ * (`--threads`) and emits machine-readable JSON. A running sweep
+ * reports through its `--progress` heartbeat; its whole-sweep
+ * telemetry lands in the `--trace` file, whose otherData carries the
+ * metrics registry.
  */
 
 #ifndef PRISM_BENCH_FIGURES_HH
@@ -70,7 +73,10 @@ struct FigureRunOptions
      * When set, every job records its interval time series and the
      * combined Chrome trace is written here. Deterministic: the
      * trace is byte-identical at any --threads value (jobs appear
-     * in spec order, and no wall-clock data is included).
+     * in spec order, and no wall-clock data is included). Jobs
+     * without a series are left out: quarantined ones appear only
+     * through the trace's "exec" process, and jobs restored from a
+     * checkpoint (which keeps no series) not at all.
      */
     std::string tracePath;
     /** When set, the same series as flat CSV. */
@@ -95,20 +101,6 @@ struct FigureRunOptions
     bool doctor = false;
     /** When set (with doctor), write the prism-doctor-v1 file here. */
     std::string doctorJsonPath;
-
-    // --- live metrics exposition (docs/OBSERVABILITY.md) -----------
-    /**
-     * prism-metrics-v1 snapshot file; "" = none. Periodic snapshots
-     * (--metrics-every N, in completed jobs) are completion-ordered
-     * and therefore outside the determinism contract, like
-     * --progress; the final snapshot written when the sweep ends is
-     * byte-identical at any --threads value.
-     */
-    std::string metricsOutPath;
-    /** Prometheus text snapshot file; "" = none. */
-    std::string metricsPromPath;
-    /** Snapshot cadence in completed jobs; 0 = final only. */
-    std::uint64_t metricsEvery = 0;
 
     // --- fault-tolerant execution (docs/RELIABILITY.md) ------------
     // Every job runs supervised: failures are classified, transients

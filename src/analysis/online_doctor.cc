@@ -5,11 +5,34 @@
 #include <utility>
 
 #include "analysis/series.hh"
+#include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "common/prism_assert.hh"
 
 namespace prism::analysis
 {
+
+namespace
+{
+
+/** prism_doctor's verdict on @p snap's rendered text. */
+Verdict
+gradeText(const telemetry::MetricsSnapshot &snap)
+{
+    std::ostringstream text;
+    telemetry::writeJson(text, snap);
+    JsonValue doc;
+    Status st = parseJson(text.str(), doc);
+    RunSeries series;
+    if (st.ok())
+        st = seriesFromMetricsJson(doc, series);
+    if (!st.ok())
+        panic("online doctor: cannot read back its own snapshot: " +
+              st.message());
+    return analyze(series, DoctorThresholds{});
+}
+
+} // namespace
 
 ServeLiveObserver::ServeLiveObserver(
     const serve::ServeConfig &config, LiveObserverOptions options)
@@ -18,10 +41,7 @@ ServeLiveObserver::ServeLiveObserver(
               telemetry::WindowConfig{
                   .capacity = options_.windowCapacity,
                   .missPenalty = DoctorThresholds{}.serveMissPenalty}),
-      history_(std::max<std::size_t>(1, config.recorderCapacity)),
-      exporter_(telemetry::ExporterConfig{
-          options_.metricsJsonPath, options_.metricsPromPath,
-          options_.metricsEvery})
+      history_(std::max<std::size_t>(1, config.recorderCapacity))
 {
     // The copied config is data only; the engine's hook pointers
     // must not dangle into a previous run.
@@ -38,16 +58,15 @@ ServeLiveObserver::onIntervalClosed(
     window_.push(sample);
     history_.record(sample);
     last_ = state;
-    if (options_.onlineDoctor)
-        grade();
 }
 
 void
 ServeLiveObserver::onRoundEnd(const serve::ServeLiveState &state)
 {
     last_ = state;
-    if (exporter_.due(state.rounds)) {
-        Status st = exporter_.flush(snapshot());
+    const std::uint64_t every = options_.metricsEvery;
+    if (every > 0 && state.rounds > 0 && state.rounds % every == 0) {
+        Status st = flush();
         if (exportStatus_.ok() && !st)
             exportStatus_ = st;
     }
@@ -58,39 +77,37 @@ ServeLiveObserver::onRunEnd(const serve::ServeLiveState &state)
 {
     last_ = state;
     ended_ = true;
-    // The authoritative final verdict, over the whole run's rows:
-    // cumulative totals are final here (a run whose last round
-    // closed no interval would otherwise grade slightly stale hit
-    // ratios).
-    if (options_.onlineDoctor)
-        grade();
-}
-
-void
-ServeLiveObserver::grade()
-{
-    // The rendered text differs from the file only in its embedded
-    // verdict, a section the reader skips.
-    std::ostringstream text;
-    telemetry::MetricsExporter::writeJson(text, snapshot());
-    JsonValue doc;
-    Status st = parseJson(text.str(), doc);
-    RunSeries series;
-    if (st.ok())
-        st = seriesFromMetricsJson(doc, series);
-    if (!st.ok())
-        panic("online doctor: cannot read back its own snapshot: " +
-              st.message());
-    verdict_ = analyze(series, DoctorThresholds{});
 }
 
 Status
-ServeLiveObserver::flushFinal()
+ServeLiveObserver::flush() const
 {
-    if (!exporter_.enabled())
-        return exportStatus_;
-    Status st = exporter_.flush(snapshot());
-    if (!st)
+    if (options_.metricsJsonPath.empty() &&
+        options_.metricsPromPath.empty())
+        return Status();
+    const telemetry::MetricsSnapshot snap = snapshot();
+    if (!options_.metricsJsonPath.empty()) {
+        std::ostringstream os;
+        telemetry::writeJson(os, snap);
+        os << "\n";
+        Status st = writeFileAtomic(options_.metricsJsonPath, os.str());
+        if (!st)
+            return st;
+    }
+    if (!options_.metricsPromPath.empty()) {
+        std::ostringstream os;
+        telemetry::writePrometheus(os, snap);
+        Status st = writeFileAtomic(options_.metricsPromPath, os.str());
+        if (!st)
+            return st;
+    }
+    return Status();
+}
+
+Status
+ServeLiveObserver::flushFinal() const
+{
+    if (Status st = flush(); !st)
         return st;
     return exportStatus_;
 }
@@ -98,8 +115,34 @@ ServeLiveObserver::flushFinal()
 telemetry::MetricsSnapshot
 ServeLiveObserver::snapshot() const
 {
+    telemetry::MetricsSnapshot snap = ungraded();
+    if (!options_.onlineDoctor)
+        return snap;
+    const Verdict verdict = gradeText(snap);
+    snap.doctorOverall = findingStatusName(verdict.overall);
+    for (const Finding &f : verdict.findings) {
+        telemetry::DoctorFindingLine line;
+        line.check = f.check;
+        line.status = findingStatusName(f.status);
+        line.value = f.value;
+        line.threshold = f.threshold;
+        line.hasValue = f.hasValue;
+        line.detail = f.detail;
+        snap.doctorFindings.push_back(std::move(line));
+    }
+    return snap;
+}
+
+Verdict
+ServeLiveObserver::grade() const
+{
+    return gradeText(ungraded());
+}
+
+telemetry::MetricsSnapshot
+ServeLiveObserver::ungraded() const
+{
     telemetry::MetricsSnapshot snap;
-    snap.source = "serve";
     snap.policy = serve::policyName(config_.policy);
     snap.run = "serve/" + canonicalSchemeName(
                               std::string("PriSM-") + snap.policy);
@@ -150,21 +193,6 @@ ServeLiveObserver::snapshot() const
     snap.window = &window_;
     if (ended_)
         snap.history = &history_;
-
-    if (verdict_) {
-        snap.doctorOverall = findingStatusName(verdict_->overall);
-        for (const Finding &f : verdict_->findings) {
-            telemetry::DoctorFindingLine line;
-            line.check = f.check;
-            line.status = findingStatusName(f.status);
-            line.value = f.value;
-            line.threshold = f.threshold;
-            line.hasValue = f.hasValue;
-            line.detail = f.detail;
-            snap.doctorFindings.push_back(std::move(line));
-        }
-    }
-
     snap.metrics = last_.metrics.get();
     return snap;
 }

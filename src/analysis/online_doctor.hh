@@ -5,27 +5,26 @@
  *
  * The offline pipeline grades a finished run (doctor.hh); a
  * long-running prism_serve instance would stay a black box until
- * shutdown. The observer closes that gap: after every interval close
- * it renders its own snapshot as prism-metrics-v1 text, parses it
- * back and runs analyze() on seriesFromMetricsJson at the default
- * DoctorThresholds. That is exactly what `prism_doctor FILE` does
- * with a written snapshot, so the online verdict is the offline one
- * by construction: same checks, same thresholds, same verdict
- * taxonomy, including the drift.* checks over the window's EWMA
- * statistics.
+ * shutdown. The observer closes that gap. It is the only producer of
+ * prism-metrics-v1 snapshots (telemetry/exporter.hh), which it
+ * writes atomically (tmp + fsync + rename), so a tailing reader such
+ * as prism_top never observes a torn file.
  *
- * When the run ends, the observer grades once more. A snapshot taken
- * then carries the run's history, an IntervalRecorder sized to
- * ServeConfig::recorderCapacity that holds every interval the run
- * closed (up to that bound), and the doctor grades those rows
- * instead of the window's. The final snapshot is therefore the serve
- * run's whole-run document, and its embedded verdict is the one
- * prism_doctor computes from it.
+ * The observer grades only when it builds a snapshot. With the
+ * online doctor on, building one renders it without a verdict,
+ * parses that text back and runs analyze() on seriesFromMetricsJson
+ * at the default DoctorThresholds. That is exactly what
+ * `prism_doctor FILE` does with a written snapshot, so the verdict
+ * embedded in every snapshot, periodic or final, is the offline one
+ * on that snapshot's own text: same checks, same thresholds, same
+ * verdict taxonomy, including the drift.* checks over the window's
+ * EWMA statistics. The observer keeps no verdict between calls.
  *
- * The latest verdict is embedded in every metrics snapshot, so the
- * exposition file tells the operator *when* the control loop went
- * unhealthy. A periodic snapshot written in a round that closed no
- * interval carries the verdict of the latest close.
+ * A snapshot built after the run ended carries the run's history, an
+ * IntervalRecorder sized to ServeConfig::recorderCapacity that holds
+ * every interval the run closed (up to that bound), and the doctor
+ * grades those rows instead of the window's. The final snapshot is
+ * therefore the serve run's whole-run document.
  *
  * Everything is evaluated in the engine's sequential sections from
  * deterministic state, so verdicts — like the snapshots — are
@@ -36,7 +35,6 @@
 #define PRISM_ANALYSIS_ONLINE_DOCTOR_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "analysis/doctor.hh"
@@ -54,8 +52,7 @@ struct LiveObserverOptions
     /** Sliding-window capacity K in intervals. */
     std::size_t windowCapacity = 64;
 
-    /** Grade the run after every interval close and once more when
-     *  it ends. */
+    /** Embed prism_doctor's verdict in every snapshot built. */
     bool onlineDoctor = false;
 
     /** prism-metrics-v1 output; "" = none. */
@@ -69,9 +66,9 @@ struct LiveObserverOptions
 /**
  * The live-plane observer prism_serve wires into
  * ServeConfig::observer: feeds the sliding window and the history,
- * grades the run, and writes metrics snapshots on the
- * --metrics-every cadence. flushFinal() writes the last snapshot
- * unconditionally — the SIGINT/SIGTERM path relies on it.
+ * and writes metrics snapshots on the --metrics-every cadence.
+ * flushFinal() writes the last snapshot unconditionally — the
+ * SIGINT/SIGTERM path relies on it.
  */
 class ServeLiveObserver final : public serve::ServeObserver
 {
@@ -88,10 +85,19 @@ class ServeLiveObserver final : public serve::ServeObserver
     void onRunEnd(const serve::ServeLiveState &state) override;
 
     /** The final snapshot write; ok() when no export is configured. */
-    Status flushFinal();
+    Status flushFinal() const;
 
-    /** Snapshot of the latest observed state. */
+    /**
+     * Snapshot of the latest observed state; with the online doctor
+     * on, it embeds grade()'s verdict.
+     */
     telemetry::MetricsSnapshot snapshot() const;
+
+    /**
+     * prism_doctor's verdict on snapshot(): its rendering without a
+     * verdict, parsed back and analyzed at DoctorThresholds{}.
+     */
+    Verdict grade() const;
 
     /** Every closed interval, up to ServeConfig::recorderCapacity. */
     const telemetry::IntervalRecorder &history() const
@@ -99,23 +105,17 @@ class ServeLiveObserver final : public serve::ServeObserver
         return history_;
     }
 
-    /** The latest online verdict; null until the doctor graded. */
-    const Verdict *
-    verdict() const
-    {
-        return verdict_ ? &*verdict_ : nullptr;
-    }
-
   private:
-    /** prism_doctor's grading of snapshot(), rendered as text. */
-    void grade();
+    /** snapshot() without the doctor section. */
+    telemetry::MetricsSnapshot ungraded() const;
+
+    /** Write snapshot() to the configured outputs, if any. */
+    Status flush() const;
 
     serve::ServeConfig config_; ///< for SLO floors / policy / sizes
     LiveObserverOptions options_;
     telemetry::SlidingWindow window_;
     telemetry::IntervalRecorder history_;
-    std::optional<Verdict> verdict_;
-    telemetry::MetricsExporter exporter_;
     serve::ServeLiveState last_;
     /** onRunEnd ran: snapshots carry the history section. */
     bool ended_ = false;

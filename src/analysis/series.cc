@@ -318,9 +318,12 @@ seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
             "not a prism-metrics-v1 document (schema '" +
             doc.at("schema").asString() + "')");
 
-    out = RunSeries();
     const std::string source = doc.at("source").asString();
+    if (source != "serve")
+        return Status::error("prism-metrics-v1 snapshot from source '" +
+                             source + "'; only 'serve' is known");
 
+    out = RunSeries();
     out.hasCounters = true;
     out.intervals = doc.at("intervals").asU64();
     if (const JsonValue *totals = doc.find("totals")) {
@@ -337,17 +340,10 @@ seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
         out.droppedEvents = telemetry->at("dropped_events").asU64();
     }
 
-    if (source != "serve") {
-        // Bench-sourced snapshot: sweep progress + registry only.
-        out.name = "metrics/" + doc.at("run").asString();
-        return Status();
-    }
-
-    // Serve-sourced snapshot: tenants in the per-core slots, series
-    // rows from the whole-run history when the snapshot was taken
-    // after the run ended and from the sliding window otherwise —
-    // the rows the online doctor graded, so the offline doctor
-    // reproduces the embedded verdict.
+    // Tenants in the per-core slots, series rows from the whole-run
+    // history when the snapshot was taken after the run ended and
+    // from the sliding window otherwise — the rows the online doctor
+    // graded, so the offline doctor reproduces the embedded verdict.
     out.serve = true;
     out.plane = "store";
     out.scheme =

@@ -7,7 +7,7 @@
  * `prism-stats-v1` document (counters only), a `prism-trace-v1`
  * Chrome trace (series + events reconstructed offline), one job of a
  * `prism-bench-v1` sweep file (counters + performance), and a
- * `prism-metrics-v1` snapshot (a serve run, or a sweep's progress).
+ * `prism-metrics-v1` snapshot of a serve run.
  * Each source fills what it has and flags the rest absent, so the
  * analysis layer can emit explicit SKIP findings instead of
  * guessing.
@@ -136,15 +136,15 @@ Status seriesFromBenchJob(const JsonValue &job, RunSeries &out);
 
 /**
  * Read one snapshot from a parsed `prism-metrics-v1` document
- * (src/telemetry/exporter.hh). A serve-sourced snapshot maps tenants
- * onto the per-core series slots, so the tracking/stability/
+ * (src/telemetry/exporter.hh). The snapshot maps tenants onto the
+ * per-core series slots, so the tracking/stability/
  * invariant checks grade the tenant control loop unchanged, and the
  * serve-specific fields enable the serve.* checks (SLO attainment,
  * fair slowdown, victim match). The series rows come from the
  * snapshot's "history" section (the whole run; final snapshots
  * only) when present and from its sliding window otherwise; the
- * window's drift statistics enable the drift.* checks. A
- * bench-sourced snapshot yields counters only.
+ * window's drift statistics enable the drift.* checks. A "source"
+ * other than "serve" is an input error.
  */
 Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);
 

@@ -1,9 +1,7 @@
 #include "telemetry/exporter.hh"
 
 #include <cctype>
-#include <sstream>
 
-#include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "telemetry/metrics_registry.hh"
 
@@ -121,49 +119,19 @@ promHeader(std::ostream &os, std::string_view name,
 
 } // namespace
 
-Status
-MetricsExporter::flush(const MetricsSnapshot &snap)
-{
-    if (!config_.jsonPath.empty()) {
-        std::ostringstream os;
-        writeJson(os, snap);
-        os << "\n";
-        Status st = writeFileAtomic(config_.jsonPath, os.str());
-        if (!st)
-            return st;
-    }
-    if (!config_.promPath.empty()) {
-        std::ostringstream os;
-        writePrometheus(os, snap);
-        Status st = writeFileAtomic(config_.promPath, os.str());
-        if (!st)
-            return st;
-    }
-    return Status();
-}
-
 void
-MetricsExporter::writeJson(std::ostream &os,
-                           const MetricsSnapshot &snap)
+writeJson(std::ostream &os, const MetricsSnapshot &snap)
 {
     JsonWriter w(os);
     w.beginObject();
     w.kv("schema", "prism-metrics-v1");
-    w.kv("source", snap.source);
+    w.kv("source", "serve");
     w.kv("run", snap.run);
     if (!snap.policy.empty())
         w.kv("policy", snap.policy);
     w.kv("round", snap.round);
     w.kv("ops", snap.ops);
     w.kv("intervals", snap.intervals);
-
-    if (snap.jobsTotal > 0) {
-        w.key("sweep");
-        w.beginObject();
-        w.kv("jobs", snap.jobsTotal);
-        w.kv("completed", snap.jobsCompleted);
-        w.endObject();
-    }
 
     if (!snap.tenants.empty()) {
         w.key("totals");
@@ -244,19 +212,18 @@ MetricsExporter::writeJson(std::ostream &os,
 
     if (snap.metrics) {
         w.key("metrics");
-        snap.metrics->writeJson(w, snap.includeWallMetrics);
+        snap.metrics->writeJson(w);
     }
 
     w.endObject();
 }
 
 void
-MetricsExporter::writePrometheus(std::ostream &os,
-                                 const MetricsSnapshot &snap)
+writePrometheus(std::ostream &os, const MetricsSnapshot &snap)
 {
     promHeader(os, "prism_info", "gauge", "Run identity labels.");
-    os << "prism_info{source=\"" << promLabel(snap.source)
-       << "\",run=\"" << promLabel(snap.run) << "\"";
+    os << "prism_info{source=\"serve\",run=\"" << promLabel(snap.run)
+       << "\"";
     if (!snap.policy.empty())
         os << ",policy=\"" << promLabel(snap.policy) << "\"";
     os << "} 1\n";
@@ -270,16 +237,6 @@ MetricsExporter::writePrometheus(std::ostream &os,
     promHeader(os, "prism_intervals_total", "counter",
                "Allocation intervals closed.");
     os << "prism_intervals_total " << snap.intervals << "\n";
-
-    if (snap.jobsTotal > 0) {
-        promHeader(os, "prism_sweep_jobs", "gauge",
-                   "Jobs in the sweep.");
-        os << "prism_sweep_jobs " << snap.jobsTotal << "\n";
-        promHeader(os, "prism_sweep_jobs_completed", "counter",
-                   "Jobs completed so far.");
-        os << "prism_sweep_jobs_completed " << snap.jobsCompleted
-           << "\n";
-    }
 
     if (!snap.tenants.empty()) {
         promHeader(os, "prism_evictions_total", "counter",
@@ -444,8 +401,7 @@ MetricsExporter::writePrometheus(std::ostream &os,
                    << "\n";
                 os << n << "_sum " << promDouble(h.sum()) << "\n";
                 os << n << "_count " << h.count() << "\n";
-            },
-            snap.includeWallMetrics);
+            });
     }
 }
 

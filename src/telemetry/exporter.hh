@@ -1,13 +1,13 @@
 /**
  * @file
  * Metrics exposition: deterministic point-in-time snapshots of a
- * running driver, rendered as a versioned `prism-metrics-v1` JSON
- * document and as Prometheus text exposition, written atomically.
+ * serve run, rendered as a versioned `prism-metrics-v1` JSON document
+ * and as Prometheus text exposition.
  *
- * The snapshot is a plain value assembled by the caller (the serve
- * engine's live observer, or prism_bench's sweep observer) from
- * state that is itself deterministic — cumulative totals, the
- * SlidingWindow, the MetricsRegistry — and keyed by the round index,
+ * The snapshot is a plain value that the serve engine's live
+ * observer (analysis/online_doctor.hh), its only producer, assembles
+ * from state that is itself deterministic — cumulative totals, the
+ * SlidingWindow, the MetricsRegistry — and keys by the round index,
  * never the wall clock. A serve run's final snapshot is its only
  * document: besides the live window it carries a "history" section,
  * the run's interval rows up to ServeConfig::recorderCapacity, which
@@ -19,9 +19,6 @@
  * any --threads value, and the live plane can be golden-tested like
  * the offline artifacts (docs/OBSERVABILITY.md, "Live metrics &
  * online doctor").
- *
- * Files are written with writeFileAtomic (tmp + fsync + rename): a
- * tailing reader such as prism_top never observes a torn snapshot.
  */
 
 #ifndef PRISM_TELEMETRY_EXPORTER_HH
@@ -32,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.hh"
 #include "telemetry/window.hh"
 
 namespace prism::telemetry
@@ -77,11 +73,10 @@ struct DoctorFindingLine
  */
 struct MetricsSnapshot
 {
-    std::string source; ///< "serve" or "bench"
     std::string run;    ///< run identity (e.g. "serve/PriSM-H")
     std::string policy; ///< serve policy long name; "" = omit
 
-    std::uint64_t round = 0; ///< snapshot key (rounds / jobs done)
+    std::uint64_t round = 0; ///< snapshot key (rounds completed)
     std::uint64_t ops = 0;
     std::uint64_t intervals = 0;
 
@@ -97,10 +92,6 @@ struct MetricsSnapshot
     std::uint64_t rehashes = 0;
     std::vector<TenantLiveState> tenants;
 
-    // Sweep progress; rendered when jobsTotal > 0 (bench source).
-    std::uint64_t jobsCompleted = 0;
-    std::uint64_t jobsTotal = 0;
-
     std::uint64_t droppedSamples = 0;
     std::uint64_t droppedEvents = 0;
 
@@ -113,65 +104,16 @@ struct MetricsSnapshot
     std::string doctorOverall;
     std::vector<DoctorFindingLine> doctorFindings;
 
-    /** Registry section ({counters, gauges, histograms}). */
+    /** Registry section ({counters, gauges, histograms}); its
+     *  ".wall_ns" counters are never rendered. */
     const MetricsRegistry *metrics = nullptr;
-    /** Include ".wall_ns" counters (non-deterministic). */
-    bool includeWallMetrics = false;
 };
 
-/** Where and how often MetricsExporter writes. */
-struct ExporterConfig
-{
-    std::string jsonPath; ///< prism-metrics-v1 file; "" = none
-    std::string promPath; ///< Prometheus text file; "" = none
-    std::uint64_t every = 0; ///< cadence in rounds; 0 = final only
-};
+/** Render @p snap as a prism-metrics-v1 document. */
+void writeJson(std::ostream &os, const MetricsSnapshot &snap);
 
-/**
- * Periodic snapshot writer. due() implements the `--metrics-every N`
- * cadence on the round counter; flush() writes the configured files,
- * on that cadence and once more on exit (including the SIGINT/SIGTERM
- * path).
- */
-class MetricsExporter
-{
-  public:
-    explicit MetricsExporter(ExporterConfig config)
-        : config_(std::move(config))
-    {
-    }
-
-    const ExporterConfig &config() const { return config_; }
-
-    bool
-    enabled() const
-    {
-        return !config_.jsonPath.empty() ||
-               !config_.promPath.empty();
-    }
-
-    /** Whether the cadence fires at @p round (1-based, > 0). */
-    bool
-    due(std::uint64_t round) const
-    {
-        return enabled() && config_.every > 0 && round > 0 &&
-               round % config_.every == 0;
-    }
-
-    /** Unconditionally write the configured outputs. */
-    Status flush(const MetricsSnapshot &snap);
-
-    /** Render @p snap as a prism-metrics-v1 document. */
-    static void writeJson(std::ostream &os,
-                          const MetricsSnapshot &snap);
-
-    /** Render @p snap in Prometheus text exposition format. */
-    static void writePrometheus(std::ostream &os,
-                                const MetricsSnapshot &snap);
-
-  private:
-    ExporterConfig config_;
-};
+/** Render @p snap in Prometheus text exposition format. */
+void writePrometheus(std::ostream &os, const MetricsSnapshot &snap);
 
 } // namespace prism::telemetry
 

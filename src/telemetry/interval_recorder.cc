@@ -37,8 +37,6 @@ IntervalRecorder::IntervalRecorder(std::size_t capacity)
     : capacity_(capacity)
 {
     fatalIf(capacity_ == 0, "IntervalRecorder: zero capacity");
-    ring_.reserve(capacity_);
-    events_.reserve(capacity_);
 }
 
 void

@@ -115,7 +115,10 @@ struct TelemetryEvent
 class IntervalRecorder
 {
   public:
-    /** @param capacity Samples (and events) retained; at least 1. */
+    /**
+     * @param capacity Samples (and events) retained; at least 1. It
+     * is only a bound: storage grows with what is recorded.
+     */
     explicit IntervalRecorder(std::size_t capacity);
 
     IntervalRecorder(const IntervalRecorder &) = delete;

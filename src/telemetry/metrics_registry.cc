@@ -144,13 +144,12 @@ MetricsRegistry::visit(
     const std::function<void(const std::string &, const Gauge &)>
         &gauge_fn,
     const std::function<void(const std::string &, const Histogram &)>
-        &histogram_fn,
-    bool include_wall) const
+        &histogram_fn) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (counter_fn)
         for (const auto &[name, c] : counters_) {
-            if (!include_wall && isWallClock(name))
+            if (isWallClock(name))
                 continue;
             counter_fn(name, *c);
         }

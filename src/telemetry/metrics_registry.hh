@@ -184,9 +184,8 @@ class MetricsRegistry
     /**
      * Walk every metric in name order under the registry lock —
      * counters first, then gauges, then histograms. Null callbacks
-     * skip that kind; wall-clock counters are skipped unless
-     * @p include_wall is set. The exporter's Prometheus renderer
-     * lives on this.
+     * skip that kind; wall-clock counters are always skipped. The
+     * exporter's Prometheus renderer lives on this.
      */
     void
     visit(const std::function<void(const std::string &,
@@ -194,8 +193,8 @@ class MetricsRegistry
           const std::function<void(const std::string &,
                                    const Gauge &)> &gauge_fn,
           const std::function<void(const std::string &,
-                                   const Histogram &)> &histogram_fn,
-          bool include_wall = false) const;
+                                   const Histogram &)> &histogram_fn)
+        const;
 
     /**
      * Serialise as one JSON object {counters, gauges, histograms},

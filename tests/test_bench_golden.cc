@@ -123,6 +123,35 @@ TEST(BenchGolden, GoldenCarriesExpectedSchema)
     EXPECT_EQ(golden.find("wall_seconds"), std::string::npos);
 }
 
+TEST(BenchTrace, OversizedCapacityMatchesTheDefaultTrace)
+{
+    // Every job's recorder once reserved its whole capacity up front:
+    // at 10^11 intervals all ten jobs were quarantined on
+    // std::bad_alloc. The capacity is only a bound now, and a trace
+    // records none, so the two traces are byte-identical.
+    char tmpl[] = "/tmp/prism_trace_XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+    const std::string big = dir + "/big.json";
+    const std::string def = dir + "/def.json";
+
+    const auto [code, out] =
+        run("fixture --no-timing --no-json --trace " + big +
+            " --trace-capacity 100000000000");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_EQ(out.find("quarantined"), std::string::npos) << out;
+    const auto [def_code, def_out] =
+        run("fixture --no-timing --no-json --trace " + def);
+    EXPECT_EQ(def_code, 0) << def_out;
+    const std::string trace = slurp(big);
+    EXPECT_NE(trace.find("prism-trace-v1"), std::string::npos);
+    EXPECT_EQ(trace, slurp(def)) << firstDiff(slurp(def), trace);
+
+    std::remove(big.c_str());
+    std::remove(def.c_str());
+    std::remove(dir.c_str());
+}
+
 TEST(BenchGolden, UnknownFigureFails)
 {
     const auto [code, out] = run("no_such_figure --no-json");

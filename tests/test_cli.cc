@@ -134,6 +134,27 @@ TEST(Cli, TraceFilesAreDeterministic)
     std::remove(b.c_str());
 }
 
+TEST(Cli, OversizedTraceCapacityIsOnlyABound)
+{
+    // The recorder once reserved its whole capacity up front, so a
+    // capacity far beyond memory aborted on std::bad_alloc. Storage
+    // now grows with what is recorded, and a trace records no
+    // capacity: it matches the default-capacity trace byte for byte.
+    const std::string big = testing::TempDir() + "cli_trace_big.json";
+    const std::string def = testing::TempDir() + "cli_trace_def.json";
+    const std::string args =
+        "--mix 403.gcc,186.crafty --instr 20000 --warmup 5000 --trace ";
+    const auto [code, out] =
+        run(args + big + " --trace-capacity 100000000000");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_EQ(run(args + def).first, 0);
+    const std::string trace = slurp(big);
+    EXPECT_NE(trace.find("prism-trace-v1"), std::string::npos);
+    EXPECT_EQ(trace, slurp(def));
+    std::remove(big.c_str());
+    std::remove(def.c_str());
+}
+
 TEST(Cli, TraceCapacityZeroFails)
 {
     const auto [code, out] = run(

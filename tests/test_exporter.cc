@@ -1,10 +1,10 @@
 /**
  * @file
- * MetricsExporter tests: the prism-metrics-v1 JSON layout (section
+ * Metrics exposition tests: the prism-metrics-v1 JSON layout (section
  * presence rules, byte-determinism, round-trip through the strict
  * parser), the Prometheus text rendering (label escaping, metric-name
- * sanitisation, cumulative histogram buckets), the --metrics-every
- * cadence, and atomic file flushing.
+ * sanitisation, cumulative histogram buckets), and the live
+ * observer's --metrics-every cadence and atomic file flushing.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/online_doctor.hh"
 #include "common/json.hh"
+#include "serve/serve_engine.hh"
 #include "telemetry/exporter.hh"
 #include "telemetry/metrics_registry.hh"
 #include "telemetry/window.hh"
@@ -47,7 +49,6 @@ MetricsSnapshot
 serveSnapshot(const SlidingWindow *win, const MetricsRegistry *reg)
 {
     MetricsSnapshot snap;
-    snap.source = "serve";
     snap.run = "serve/PriSM-H";
     snap.policy = "HitMax";
     snap.round = 12;
@@ -76,7 +77,7 @@ std::string
 renderJson(const MetricsSnapshot &snap)
 {
     std::ostringstream os;
-    MetricsExporter::writeJson(os, snap);
+    writeJson(os, snap);
     return os.str();
 }
 
@@ -84,7 +85,7 @@ std::string
 renderProm(const MetricsSnapshot &snap)
 {
     std::ostringstream os;
-    MetricsExporter::writePrometheus(os, snap);
+    writePrometheus(os, snap);
     return os.str();
 }
 
@@ -95,6 +96,43 @@ slurp(const std::filesystem::path &path)
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/** An observer over a two-tenant serve config, driven by hand. */
+analysis::ServeLiveObserver
+observerWith(const std::string &json_path, const std::string &prom_path,
+             std::uint64_t every)
+{
+    serve::ServeConfig config;
+    config.tenants.resize(2);
+    analysis::LiveObserverOptions options;
+    options.metricsJsonPath = json_path;
+    options.metricsPromPath = prom_path;
+    options.metricsEvery = every;
+    return analysis::ServeLiveObserver(config, options);
+}
+
+/** End round @p round on @p observer; whether that wrote @p path. */
+bool
+writesAt(analysis::ServeLiveObserver &observer, std::uint64_t round,
+         const std::filesystem::path &path)
+{
+    std::filesystem::remove(path);
+    serve::ServeLiveState state;
+    state.rounds = round;
+    observer.onRoundEnd(state);
+    return std::filesystem::exists(path);
+}
+
+/** A fresh, empty scratch directory named @p name. */
+std::filesystem::path
+scratchDir(const std::string &name)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
 }
 
 } // namespace
@@ -135,14 +173,12 @@ TEST(MetricsExporterJson, RendersDeterministicallyAndParsesBack)
 TEST(MetricsExporterJson, EmptySectionsAreOmitted)
 {
     MetricsSnapshot snap;
-    snap.source = "bench";
     snap.run = "fixture";
     snap.round = 1;
 
     JsonValue doc;
     ASSERT_TRUE(parseJson(renderJson(snap), doc).ok());
     EXPECT_TRUE(doc.at("policy").isNull());
-    EXPECT_TRUE(doc.at("sweep").isNull());
     EXPECT_TRUE(doc.at("totals").isNull());
     EXPECT_TRUE(doc.at("tenants").isNull());
     EXPECT_TRUE(doc.at("window").isNull());
@@ -152,24 +188,9 @@ TEST(MetricsExporterJson, EmptySectionsAreOmitted)
     EXPECT_TRUE(doc.at("telemetry").isObject());
 }
 
-TEST(MetricsExporterJson, SweepSectionRendersForBenchSource)
-{
-    MetricsSnapshot snap;
-    snap.source = "bench";
-    snap.run = "fixture";
-    snap.jobsTotal = 10;
-    snap.jobsCompleted = 4;
-
-    JsonValue doc;
-    ASSERT_TRUE(parseJson(renderJson(snap), doc).ok());
-    EXPECT_EQ(doc.at("sweep").at("jobs").asU64(), 10u);
-    EXPECT_EQ(doc.at("sweep").at("completed").asU64(), 4u);
-}
-
 TEST(MetricsExporterJson, DoctorSectionCarriesFindings)
 {
     MetricsSnapshot snap;
-    snap.source = "serve";
     snap.run = "serve/PriSM-H";
     snap.doctorOverall = "WARN";
     DoctorFindingLine f;
@@ -197,7 +218,6 @@ TEST(MetricsExporterProm, EscapesLabelsAndSanitisesNames)
     reg.counter("serve/odd-name.gets").add(7);
 
     MetricsSnapshot snap;
-    snap.source = "serve";
     snap.run = "run \"quoted\"\\slash\nnewline";
     snap.metrics = &reg;
 
@@ -222,7 +242,6 @@ TEST(MetricsExporterProm, HistogramBucketsAreCumulative)
     h.observe(500.0); // overflow
 
     MetricsSnapshot snap;
-    snap.source = "serve";
     snap.run = "serve/PriSM-H";
     snap.metrics = &reg;
 
@@ -248,40 +267,46 @@ TEST(MetricsExporterProm, HistogramBucketsAreCumulative)
 
 TEST(MetricsExporterCadence, DueFollowsEveryOnTheRoundCounter)
 {
-    MetricsExporter off(ExporterConfig{"", "", 4});
-    EXPECT_FALSE(off.enabled());
-    EXPECT_FALSE(off.due(4)) << "no outputs, never due";
+    const std::filesystem::path dir = scratchDir("prism_exporter_cadence");
+    const std::filesystem::path path = dir / "x.json";
 
-    MetricsExporter final_only(ExporterConfig{"x.json", "", 0});
-    EXPECT_TRUE(final_only.enabled());
-    EXPECT_FALSE(final_only.due(1));
-    EXPECT_FALSE(final_only.due(100));
+    analysis::ServeLiveObserver off = observerWith("", "", 4);
+    EXPECT_FALSE(writesAt(off, 4, path)) << "no outputs, never due";
+    EXPECT_TRUE(off.flushFinal().ok());
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
 
-    MetricsExporter every4(ExporterConfig{"x.json", "", 4});
-    EXPECT_FALSE(every4.due(0));
-    EXPECT_FALSE(every4.due(3));
-    EXPECT_TRUE(every4.due(4));
-    EXPECT_FALSE(every4.due(5));
-    EXPECT_TRUE(every4.due(8));
+    analysis::ServeLiveObserver final_only =
+        observerWith(path.string(), "", 0);
+    EXPECT_FALSE(writesAt(final_only, 1, path));
+    EXPECT_FALSE(writesAt(final_only, 100, path));
+    ASSERT_TRUE(final_only.flushFinal().ok());
+    EXPECT_TRUE(std::filesystem::exists(path))
+        << "the final snapshot is written";
+
+    analysis::ServeLiveObserver every4 =
+        observerWith(path.string(), "", 4);
+    EXPECT_FALSE(writesAt(every4, 0, path));
+    EXPECT_FALSE(writesAt(every4, 3, path));
+    EXPECT_TRUE(writesAt(every4, 4, path));
+    EXPECT_FALSE(writesAt(every4, 5, path));
+    EXPECT_TRUE(writesAt(every4, 8, path));
+
+    std::filesystem::remove_all(dir);
 }
 
 TEST(MetricsExporterFlush, WritesBothFilesAtomically)
 {
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        "prism_exporter_test";
-    std::filesystem::create_directories(dir);
+    const std::filesystem::path dir = scratchDir("prism_exporter_test");
     const std::string json_path = (dir / "m.json").string();
     const std::string prom_path = (dir / "m.prom").string();
 
-    MetricsExporter exporter(
-        ExporterConfig{json_path, prom_path, 2});
-    MetricsSnapshot snap;
-    snap.source = "serve";
-    snap.run = "serve/PriSM-H";
-    snap.round = 2;
+    analysis::ServeLiveObserver observer =
+        observerWith(json_path, prom_path, 2);
+    serve::ServeLiveState state;
+    state.rounds = 2;
+    observer.onRoundEnd(state);
 
-    ASSERT_TRUE(exporter.flush(snap).ok());
+    ASSERT_TRUE(observer.flushFinal().ok());
 
     JsonValue doc;
     ASSERT_TRUE(parseJson(slurp(json_path), doc).ok());
@@ -294,10 +319,7 @@ TEST(MetricsExporterFlush, WritesBothFilesAtomically)
 
 TEST(MetricsExporterFlush, UnwritablePathReportsAnError)
 {
-    MetricsExporter exporter(ExporterConfig{
-        "/nonexistent-dir/sub/m.json", "", 0});
-    MetricsSnapshot snap;
-    snap.source = "serve";
-    snap.run = "serve/PriSM-H";
-    EXPECT_FALSE(exporter.flush(snap).ok());
+    analysis::ServeLiveObserver observer =
+        observerWith("/nonexistent-dir/sub/m.json", "", 0);
+    EXPECT_FALSE(observer.flushFinal().ok());
 }

@@ -1,11 +1,12 @@
 /**
  * @file
  * Live observability plane, in-process: ServeLiveObserver snapshots
- * must be byte-identical at 1, 2 and 8 engine threads; the online
- * doctor's verdict must match what offline analyze() computes from
- * the very snapshot it was embedded in, periodic or final (the
- * acceptance criterion of docs/OBSERVABILITY.md, "Live metrics &
- * online doctor"); only the final snapshot carries the whole run's
+ * must be byte-identical at 1, 2 and 8 engine threads; the verdict
+ * embedded in every snapshot, at every round end and at the run's
+ * end, must match what offline analyze() computes from that
+ * snapshot's own text (the acceptance criterion of
+ * docs/OBSERVABILITY.md, "Live metrics & online doctor"); only the
+ * final snapshot carries the whole run's
  * rows as "history"; the committed METRICS_fixture.json golden pins
  * the prism-metrics-v1 format; and a raised stop flag ends the run
  * at the next round boundary with the final snapshot still written.
@@ -23,6 +24,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/doctor.hh"
 #include "analysis/online_doctor.hh"
@@ -79,8 +81,8 @@ std::string
 renderSnapshot(const ServeLiveObserver &observer)
 {
     std::ostringstream os;
-    telemetry::MetricsExporter::writeJson(os, observer.snapshot());
-    os << "\n"; // MetricsExporter::flush writes a trailing newline
+    telemetry::writeJson(os, observer.snapshot());
+    os << "\n"; // the observer's file writes end in a newline
     return os.str();
 }
 
@@ -104,8 +106,7 @@ runLive(ServeConfig config, std::uint32_t threads,
     LiveRun out;
     out.result = engine.run();
     out.snapshotJson = renderSnapshot(observer);
-    if (const Verdict *verdict = observer.verdict())
-        out.verdictJson = renderVerdict(*verdict);
+    out.verdictJson = renderVerdict(observer.grade());
     return out;
 }
 
@@ -139,8 +140,7 @@ class PeriodicTap final : public ServeObserver
         if (state.rounds != round_)
             return;
         json = renderSnapshot(inner_);
-        if (const Verdict *verdict = inner_.verdict())
-            verdictJson = renderVerdict(*verdict);
+        verdictJson = renderVerdict(inner_.grade());
     }
 
     void
@@ -184,8 +184,7 @@ runTapped(LiveObserverOptions live)
     out.periodicJson = tap.json;
     out.periodicVerdictJson = tap.verdictJson;
     out.finalJson = renderSnapshot(observer);
-    if (const Verdict *verdict = observer.verdict())
-        out.finalVerdictJson = renderVerdict(*verdict);
+    out.finalVerdictJson = renderVerdict(observer.grade());
     return out;
 }
 
@@ -204,6 +203,96 @@ offlineVerdict(const std::string &snapshotJson,
     EXPECT_TRUE(seriesFromMetricsJson(doc, series).ok());
     return renderVerdict(analyze(series, thresholds));
 }
+
+/** A verdict as one line per finding: check, status, value,
+ *  threshold ("-" without a value) and detail. */
+std::string
+flatVerdict(const Verdict &v)
+{
+    std::string out = std::string(findingStatusName(v.overall)) + "\n";
+    for (const Finding &f : v.findings) {
+        const auto number = [&f](double x) {
+            return f.hasValue ? JsonWriter::formatDouble(x)
+                              : std::string("-");
+        };
+        out += f.check + " " + findingStatusName(f.status) + " " +
+               number(f.value) + " " + number(f.threshold) + " " +
+               f.detail + "\n";
+    }
+    return out;
+}
+
+/** The "doctor" section of a parsed snapshot in flatVerdict's form;
+ *  "(none)" when the snapshot embeds no verdict. */
+std::string
+embeddedVerdict(const JsonValue &doc)
+{
+    const JsonValue &doctor = doc.at("doctor");
+    if (!doctor.isObject())
+        return "(none)";
+    const auto number = [](const JsonValue *v) {
+        if (!v)
+            return std::string("-");
+        return v->isNull() ? std::string("null") : v->rawNumber();
+    };
+    std::string out = doctor.at("overall").asString() + "\n";
+    for (const JsonValue &f : doctor.at("findings").elements())
+        out += f.at("check").asString() + " " +
+               f.at("status").asString() + " " +
+               number(f.find("value")) + " " +
+               number(f.find("threshold")) + " " +
+               f.at("detail").asString() + "\n";
+    return out;
+}
+
+/**
+ * Forwards every hook to a ServeLiveObserver and, at every round end,
+ * renders its snapshot and compares the embedded verdict with
+ * offline analyze() on that same text, as `prism_doctor FILE` runs
+ * it. Rounds whose verdicts differ are collected.
+ */
+class EveryRoundTap final : public ServeObserver
+{
+  public:
+    explicit EveryRoundTap(ServeLiveObserver &inner) : inner_(inner) {}
+
+    void
+    onIntervalClosed(const telemetry::IntervalSample &sample,
+                     std::span<const std::uint64_t> evictions,
+                     const ServeLiveState &state) override
+    {
+        inner_.onIntervalClosed(sample, evictions, state);
+    }
+
+    void
+    onRoundEnd(const ServeLiveState &state) override
+    {
+        inner_.onRoundEnd(state);
+        ++rounds;
+        JsonValue doc;
+        RunSeries series;
+        if (!parseJson(renderSnapshot(inner_), doc).ok() ||
+            !seriesFromMetricsJson(doc, series).ok()) {
+            mismatched.push_back(state.rounds);
+            return;
+        }
+        if (embeddedVerdict(doc) !=
+            flatVerdict(analyze(series, DoctorThresholds{})))
+            mismatched.push_back(state.rounds);
+    }
+
+    void
+    onRunEnd(const ServeLiveState &state) override
+    {
+        inner_.onRunEnd(state);
+    }
+
+    std::uint64_t rounds = 0;
+    std::vector<std::uint64_t> mismatched;
+
+  private:
+    ServeLiveObserver &inner_;
+};
 
 } // namespace
 
@@ -225,7 +314,7 @@ TEST(LivePlane, OnlineVerdictIsByteIdenticalAcrossThreadCounts)
     const LiveRun t1 = runLive(config, 1);
     const LiveRun t8 = runLive(config, 8);
 
-    ASSERT_FALSE(t1.verdictJson.empty())
+    ASSERT_GT(t1.result.intervals, 0u)
         << "fixture must close intervals for the doctor to grade";
     EXPECT_EQ(t1.verdictJson, t8.verdictJson);
 }
@@ -347,6 +436,38 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
               offlineVerdict(tapped.periodicJson, DoctorThresholds{}));
     EXPECT_EQ(tapped.finalVerdictJson,
               offlineVerdict(tapped.finalJson, DoctorThresholds{}));
+}
+
+TEST(LivePlane, EveryRoundEndSnapshotEmbedsTheVerdictOnItsOwnText)
+{
+    // Most rounds close no interval, and the first ones precede the
+    // first close: each snapshot still embeds the verdict that
+    // prism_doctor gives on its own text.
+    ServeConfig config = fixtureConfig();
+    config.threads = 2;
+    ServeLiveObserver observer(config, liveOptions());
+    EveryRoundTap tap(observer);
+    config.observer = &tap;
+    const ServeResult result = ServeEngine(config).run();
+    ASSERT_EQ(result.rounds, 48u);
+    ASSERT_EQ(result.intervals, 11u);
+    EXPECT_EQ(tap.rounds, 48u);
+
+    std::string rounds;
+    for (const std::uint64_t r : tap.mismatched)
+        rounds += " " + std::to_string(r);
+    EXPECT_TRUE(tap.mismatched.empty())
+        << tap.mismatched.size() << " of 48 round-end snapshots embed "
+        << "a verdict offline analyze() does not reproduce:" << rounds;
+
+    JsonValue final_doc;
+    RunSeries series;
+    ASSERT_TRUE(parseJson(renderSnapshot(observer), final_doc).ok());
+    ASSERT_TRUE(seriesFromMetricsJson(final_doc, series).ok());
+    EXPECT_EQ(embeddedVerdict(final_doc),
+              flatVerdict(analyze(series, DoctorThresholds{})));
+    EXPECT_EQ(embeddedVerdict(final_doc), flatVerdict(observer.grade()))
+        << "grade() is the verdict the final snapshot embeds";
 }
 
 TEST(LivePlane, RaisedStopFlagEndsTheRunWithSnapshotIntact)

@@ -175,6 +175,39 @@ TEST(LiveCli, DoctorAutodetectsMetricsSnapshots)
     run("rm -rf " + dir);
 }
 
+TEST(LiveCli, OversizedWindowIsOnlyABound)
+{
+    // The window's ring once reserved K rows (and K events) up front,
+    // so a K far beyond memory aborted on std::bad_alloc. Its storage
+    // now grows with the intervals pushed; K only bounds it.
+    const std::string dir = tempDir();
+    const std::string snap = dir + "/window.json";
+    const auto [code, out] =
+        run(serveBin() + " --window 100000000000 --ops 1000 " +
+            "--no-timing --quiet --metrics-out " + snap);
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(slurp(snap).find("\"capacity\": 100000000000"),
+              std::string::npos);
+    run("rm -rf " + dir);
+}
+
+TEST(LiveCli, DoctorRefusesSnapshotsFromAnotherSource)
+{
+    // prism_serve is the only producer of prism-metrics-v1; a sweep
+    // progress snapshot, as prism_bench once wrote, is an input error.
+    const std::string dir = tempDir();
+    const std::string snap = dir + "/sweep.json";
+    std::ofstream(snap) << R"({"schema": "prism-metrics-v1", )"
+                           R"("source": "bench", "run": "fixture", )"
+                           R"("round": 10, "ops": 0, "intervals": 245, )"
+                           R"("sweep": {"jobs": 10, "completed": 10}})"
+                        << "\n";
+    const auto [code, out] = run(doctorBin() + " " + snap);
+    EXPECT_EQ(code, 2) << out;
+    EXPECT_NE(out.find("source 'bench'"), std::string::npos) << out;
+    run("rm -rf " + dir);
+}
+
 TEST(LiveCli, ServeDoctorEqualsDoctorOnTheFinalSnapshot)
 {
     // --window 4 keeps 4 of the fixture's 9 intervals in the live

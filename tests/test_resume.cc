@@ -379,6 +379,32 @@ TEST(Chaos, ExhaustedRetriesQuarantineAndFailTheRun)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Chaos, QuarantinedSweepStillWritesItsTrace)
+{
+    // Quarantined jobs recorded no series: the trace carries them
+    // through its "exec" process only, and the sweep still writes
+    // every output before it fails.
+    const std::string dir = scratchDir("quarantine_trace");
+    const std::string trace = dir + "/trace.json";
+    const RunOutcome r = run(
+        benchBin(), benchFixture(dir, "--retries 1 --chaos job_crash@4 "
+                                      "--trace " + trace));
+    EXPECT_EQ(r.exitCode(), 1) << r.out;
+    EXPECT_NE(r.out.find("exec: quarantined 2 job(s)"),
+              std::string::npos)
+        << r.out;
+    EXPECT_TRUE(std::filesystem::exists(dir + "/BENCH_fixture.json"))
+        << r.out;
+    EXPECT_NE(slurp(trace).find("\"job_quarantine\""),
+              std::string::npos);
+
+    const RunOutcome doc = run(doctorBin(), trace);
+    EXPECT_TRUE(WIFEXITED(doc.status)) << doc.out;
+    EXPECT_NE(doc.exitCode(), 2)
+        << "the trace must be readable: " << doc.out;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Chaos, AllocFailAndCrashMixStillCompletes)
 {
     const std::string dir = scratchDir("mixed");
@@ -472,15 +498,13 @@ TEST(ResumeCli, BadDeadlinesAndRetriesAreUsageErrors)
     // became a deadline in the past and quarantined every job, "abc"
     // meant no watchdog, and --retries -1 wrapped to one attempt.
     // The counts after them read "abc" as 0 threads (run on 1) and
-    // "2x" as 2, wrapped a -1 snapshot cadence to 2^64-1, narrowed a
-    // cadence of 2^32 to 0, and kept whatever digits led a seed or a
-    // trace capacity.
+    // "2x" as 2, narrowed a checkpoint cadence of 2^32 to 0, and kept
+    // whatever digits led a seed or a trace capacity.
     const std::string dir = scratchDir("bad_flags");
     for (const std::string &flag : std::vector<std::string>{
              "--deadline inf", "--deadline 1e300", "--deadline nan",
              "--deadline abc", "--retries -1", "--retries abc",
              "--retries 4294967295", "--threads abc", "--threads 2x",
-             "--metrics-every -1 --metrics-out " + dir + "/m.json",
              "--ckpt-every 4294967296", "--chaos-seed abc",
              "--trace-capacity 5x"}) {
         const RunOutcome r = run(benchBin(), benchFixture(dir, flag));
@@ -495,6 +519,29 @@ TEST(ResumeCli, BadDeadlinesAndRetriesAreUsageErrors)
     const RunOutcome ok =
         run(benchBin(), benchFixture(dir, "--deadline 1e9 --retries 0"));
     EXPECT_TRUE(ok.cleanExit()) << ok.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ResumeCli, RemovedMetricsFlagsAreUnknownOptions)
+{
+    // prism_serve is the only producer of prism-metrics-v1 snapshots:
+    // the sweep's snapshot flags are gone, so each of these is an
+    // unknown option that exits 2 before anything runs or is written.
+    // The last one once wrapped a -1 cadence to 2^64-1.
+    const std::string dir = scratchDir("metrics_flags");
+    for (const std::string &flag : std::vector<std::string>{
+             "--metrics-out " + dir + "/m.json",
+             "--metrics-prom " + dir + "/m.prom", "--metrics-every 2",
+             "--metrics-every -1 --metrics-out " + dir + "/m.json"}) {
+        const RunOutcome r = run(benchBin(), benchFixture(dir, flag));
+        EXPECT_EQ(r.exitCode(), 2) << flag << ": " << r.out;
+        const std::string name = flag.substr(0, flag.find(' '));
+        EXPECT_NE(r.out.find("unknown option '" + name + "'"),
+                  std::string::npos)
+            << flag << ": " << r.out;
+        EXPECT_TRUE(std::filesystem::is_empty(dir))
+            << flag << " wrote a file";
+    }
     std::filesystem::remove_all(dir);
 }
 

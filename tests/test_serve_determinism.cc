@@ -107,7 +107,7 @@ runServe(ServeConfig config, std::uint32_t threads)
     ServeRun out;
     out.result = ServeEngine(config).run();
     std::ostringstream os;
-    telemetry::MetricsExporter::writeJson(os, observer.snapshot());
+    telemetry::writeJson(os, observer.snapshot());
     out.json = os.str();
     for (std::size_t i = 0; i < observer.history().size(); ++i)
         out.history.push_back(observer.history().sample(i));

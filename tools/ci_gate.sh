@@ -3,9 +3,11 @@
 # fault-injection suites under ThreadSanitizer and ASan + UBSan, then
 # hold the bench fixture against the committed golden through the
 # prism_doctor regression comparator, run the chaos, serve, plane and
-# live stages and a perfbench smoke run, and finish with the timed
-# hot-path thresholds. Exit 0 means the tree is healthy AND the
-# fixture sweep's metrics sit within tolerance of the golden.
+# live stages and a perfbench smoke run, hold the headline artifact
+# against a fresh fig02 sweep, and finish with the timed hot-path
+# thresholds. Exit 0 means the tree is healthy AND the fixture sweep's
+# and the headline sweep's metrics sit within tolerance of their
+# committed documents.
 #
 # Usage: tools/ci_gate.sh [build-dir]
 #        (sanitizer trees go to <build-dir>-tsan and <build-dir>-asan)
@@ -13,8 +15,8 @@
 # Environment:
 #   CMAKE_ARGS   extra arguments for the configure step
 #   CTEST_ARGS   extra arguments for ctest (e.g. "-L quick")
-#   TOLERANCE    relative tolerance for the bench compare (default 0:
-#                the fixture is deterministic, bytes must agree)
+#   TOLERANCE    relative tolerance for the bench compares (default 0:
+#                the sweeps are deterministic, bytes must agree)
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -209,6 +211,24 @@ echo "== benchmark smoke =="
 # both modes; run.py exits non-zero when the build or a check fails.
 CARGO_TARGET_DIR="$build/perfbench" python3 "$repo/perfbench/run.py" \
     --smoke
+
+echo "== headline artifact gate =="
+# The committed headline artifact, BENCH_fig02_summary.json, must stay
+# what the code produces: the full fig02 sweep at the default scale
+# (PRISM_BENCH_SCALE and PRISM_BENCH_WORKLOADS unset) is held against
+# it through the same comparator as the fixture. 132 jobs, about
+# 100 s at 4 threads.
+head_out=$(mktemp -d)
+trap 'rm -rf "$out" "$hot_out" "$chaos_out" "$serve_out" \
+     "$plane_out" "$live_out" "$head_out"' EXIT
+(
+    unset PRISM_BENCH_SCALE PRISM_BENCH_WORKLOADS
+    "$build/tools/prism_bench" fig02_summary --no-timing \
+        --threads "$(nproc)" --out "$head_out" >/dev/null
+)
+"$build/tools/prism_doctor" \
+    --compare "$repo/BENCH_fig02_summary.json" \
+    "$head_out/BENCH_fig02_summary.json" --tolerance "$tolerance"
 
 echo "== hot-path timing gate =="
 # Timed half of the hot-path gate: accesses/sec on the 32-core mix vs

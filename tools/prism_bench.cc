@@ -104,17 +104,6 @@ usage(std::ostream &os, const char *argv0)
        << "                 write the verdicts as a prism-doctor-v1\n"
        << "                 document (implies --doctor; single figure\n"
        << "                 only; byte-identical at any --threads)\n"
-       << "  --metrics-out PATH\n"
-       << "                 maintain a prism-metrics-v1 snapshot of\n"
-       << "                 sweep progress (single figure only; the\n"
-       << "                 final snapshot is byte-identical at any\n"
-       << "                 --threads value)\n"
-       << "  --metrics-prom PATH\n"
-       << "                 the same snapshot as Prometheus text\n"
-       << "  --metrics-every N\n"
-       << "                 refresh the snapshot every N completed\n"
-       << "                 jobs (completion-ordered, like\n"
-       << "                 --progress; 0 = final snapshot only)\n"
        << "\n"
        << "fault tolerance (docs/RELIABILITY.md):\n"
        << "  --retries N    retries per job after the first attempt\n"
@@ -202,13 +191,6 @@ main(int argc, char **argv)
         } else if (arg == "--doctor-json") {
             options.doctorJsonPath = value();
             options.doctor = true;
-        } else if (arg == "--metrics-out") {
-            options.metricsOutPath = value();
-        } else if (arg == "--metrics-prom") {
-            options.metricsPromPath = value();
-        } else if (arg == "--metrics-every") {
-            if (!parseCountArg(arg, value(), options.metricsEvery))
-                return 2;
         } else if (arg == "--retries") {
             // Below UINT_MAX so the attempt budget (retries + 1)
             // cannot wrap.
@@ -261,19 +243,6 @@ main(int argc, char **argv)
     if (ids.size() > 1 && !options.doctorJsonPath.empty()) {
         std::cerr << "--doctor-json writes one file: select a single "
                      "figure\n";
-        return 2;
-    }
-    if (ids.size() > 1 && (!options.metricsOutPath.empty() ||
-                           !options.metricsPromPath.empty())) {
-        std::cerr << "--metrics-out/--metrics-prom write one file: "
-                     "select a single figure\n";
-        return 2;
-    }
-    if (options.metricsEvery > 0 &&
-        options.metricsOutPath.empty() &&
-        options.metricsPromPath.empty()) {
-        std::cerr << "--metrics-every needs --metrics-out or "
-                     "--metrics-prom\n";
         return 2;
     }
     if (options.resume && options.ckptPath.empty()) {

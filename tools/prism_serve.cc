@@ -7,8 +7,8 @@
  * (docs/SERVING.md). Prints a human summary; `--metrics-out PATH`
  * leaves the run's final `prism-metrics-v1` snapshot in PATH, the
  * serve run's one document, with its whole-run interval rows under
- * "history". `--doctor` grades the run online and prints the final
- * verdict, which is what `prism_doctor PATH` gives on that snapshot.
+ * "history". `--doctor` embeds in each snapshot written the verdict
+ * `prism_doctor` gives on it, and prints the final snapshot's verdict.
  *
  * Determinism: with `--ops N` (a fixed op budget) the snapshots are
  * byte-identical at any `--threads`; `--no-timing` additionally
@@ -81,8 +81,8 @@ usage(std::ostream &os)
         "  --seed N             base RNG seed (default 42)\n"
         "  --no-timing          skip wall-clock collection and the\n"
         "                       non-deterministic latency histograms\n"
-        "  --doctor             grade the run online after every\n"
-        "                       interval close and print the final\n"
+        "  --doctor             embed prism_doctor's verdict in every\n"
+        "                       snapshot written and print the final\n"
         "                       verdict (graded over the whole run)\n"
         "  --metrics-out PATH   write prism-metrics-v1 snapshots; the\n"
         "                       final one holds the whole run\n"
@@ -316,9 +316,9 @@ main(int argc, char **argv)
 
     int rc = 0;
     if (live.onlineDoctor) {
-        // Graded in onRunEnd over the whole run's history: the
-        // verdict prism_doctor gives on the final snapshot.
-        const analysis::Verdict &verdict = *observer->verdict();
+        // Graded over the whole run's history: the verdict
+        // prism_doctor gives on the final snapshot.
+        const analysis::Verdict verdict = observer->grade();
         analysis::printReport(std::cout, verdict);
         if (verdict.overall == analysis::FindingStatus::Fail)
             rc = 1;

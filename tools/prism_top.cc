@@ -2,13 +2,12 @@
  * @file
  * prism_top — console reporter over a prism-metrics-v1 file.
  *
- * Tails the snapshot file a live driver maintains with
- * `--metrics-out FILE --metrics-every N` (prism_serve, prism_bench)
- * and renders the run headline plus a per-tenant table: cumulative
- * and windowed hit ratios, fair slowdown, E_i churn, drift, targets
- * and occupancy. The writer uses atomic renames, so every read
- * observes a complete snapshot; prism_top never needs to talk to the
- * process it is watching.
+ * Tails the snapshot file prism_serve maintains with
+ * `--metrics-out FILE --metrics-every N` and renders the run headline
+ * plus a per-tenant table: cumulative and windowed hit ratios, fair
+ * slowdown, E_i churn, drift, targets and occupancy. The writer uses
+ * atomic renames, so every read observes a complete snapshot;
+ * prism_top never needs to talk to the process it is watching.
  *
  * Modes:
  *   prism_top FILE --once           render one frame and exit
@@ -102,11 +101,6 @@ render(std::ostream &os, const JsonValue &doc)
     os << " — round " << doc.at("round").asU64() << ", "
        << doc.at("ops").asU64() << " ops, "
        << doc.at("intervals").asU64() << " interval(s)\n";
-
-    const JsonValue &sweep = doc.at("sweep");
-    if (sweep.isObject())
-        os << "  sweep: " << sweep.at("completed").asU64() << "/"
-           << sweep.at("jobs").asU64() << " job(s) complete\n";
 
     const JsonValue &totals = doc.at("totals");
     if (totals.isObject()) {
