@@ -526,7 +526,7 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
     if (tracing) {
         // Jobs without a recorder (quarantined, or restored from a
         // checkpoint) have no series to trace; quarantines appear
-        // through the exec process below.
+        // through the exec process below, restored jobs as a count.
         std::vector<telemetry::TraceJob> trace_jobs;
         trace_jobs.reserve(spec.jobs.size() + 1);
         for (std::size_t i = 0; i < spec.jobs.size(); ++i)
@@ -538,6 +538,7 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
         // thread count; the "interval" axis is the 1-based job spec
         // index, the value the attempt).
         std::unique_ptr<telemetry::IntervalRecorder> exec_recorder;
+        std::vector<std::string> job_ids;
         if (outcome.noteworthy()) {
             std::size_t events = 0;
             for (const JobReport &r : outcome.reports)
@@ -570,7 +571,10 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
                     exec_recorder->addEvent(ev);
                 }
             }
-            trace_jobs.push_back({"exec", exec_recorder.get()});
+            for (const SweepJob &job : spec.jobs)
+                job_ids.push_back(job.id);
+            trace_jobs.push_back(
+                {"exec", exec_recorder.get(), job_ids});
         }
 
         const telemetry::TraceWriter writer; // wall time stays out
@@ -578,7 +582,7 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
             const Status st = writeFileAtomic(
                 options.tracePath, [&](std::ostream &file) {
                     writer.writeChromeTrace(file, trace_jobs,
-                                            &metrics);
+                                            &metrics, outcome.restored);
                 });
             if (!st.ok()) {
                 std::cerr << "prism_bench: cannot write "
@@ -621,6 +625,11 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
                       << options.traceCapacity
                       << "); raise --trace-capacity to keep the full "
                          "series\n";
+        if (outcome.restored > 0)
+            std::cerr << "prism_bench: trace lacks " << outcome.restored
+                      << " job(s) restored from the checkpoint, which "
+                         "keeps no series; rerun without --resume for "
+                         "a whole trace\n";
     }
 
     int rc = degraded ? 1 : 0;

@@ -76,7 +76,8 @@ struct FigureRunOptions
      * in spec order, and no wall-clock data is included). Jobs
      * without a series are left out: quarantined ones appear only
      * through the trace's "exec" process, and jobs restored from a
-     * checkpoint (which keeps no series) not at all.
+     * checkpoint (which keeps no series) only as a count, in
+     * otherData.restored_jobs and on stderr.
      */
     std::string tracePath;
     /** When set, the same series as flat CSV. */

@@ -780,6 +780,13 @@ analyzeExec(const ExecSeries &s)
     counter("exec.checkpoint", s.checkpointCorrupt,
             FindingStatus::Fail,
             "corrupt checkpoints discarded at resume");
+    // Trace inputs only: a resumed sweep's trace grades fewer jobs
+    // than the sweep ran.
+    if (s.restoredJobs > 0)
+        counter("exec.restored_jobs", s.restoredJobs,
+                FindingStatus::Warn,
+                "jobs restored from a checkpoint, which keeps no "
+                "series, are missing from this trace");
 
     for (const Finding &f : v.findings)
         v.overall = worse(v.overall, f.status);

@@ -126,7 +126,8 @@ Verdict analyze(const RunSeries &s, const DoctorThresholds &t = {});
 /**
  * Sweep-execution health checks over the supervision manifest
  * (docs/RELIABILITY.md): retries and deadline timeouts WARN,
- * quarantined jobs and corrupt checkpoints FAIL. The verdict's run
+ * quarantined jobs and corrupt checkpoints FAIL, and a trace that
+ * lacks checkpoint-restored jobs WARNs. The verdict's run
  * id is "exec"; callers append it to the per-job verdicts only when
  * something noteworthy happened, so clean runs keep emitting
  * byte-identical doctor documents.

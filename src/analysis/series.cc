@@ -161,6 +161,14 @@ seriesFromStatsJson(const JsonValue &doc, RunSeries &out)
 namespace
 {
 
+/** A sweep trace's exec pseudo-process instant (job supervision). */
+bool
+isExecInstant(const std::string &name)
+{
+    return name == "job_retry" || name == "job_timeout" ||
+           name == "job_quarantine";
+}
+
 /** Per-interval row while reassembling a trace process. */
 struct TraceRow
 {
@@ -213,6 +221,7 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
     std::map<std::uint64_t, std::string> names;
     std::map<std::uint64_t, std::map<std::uint64_t, TraceRow>> rows;
     std::map<std::uint64_t, RunSeries> counters;
+    bool exec_instants = false;
 
     for (const JsonValue &ev : events.elements()) {
         const std::uint64_t pid = ev.at("pid").asU64();
@@ -249,6 +258,8 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
                 ++c.fallbackEntries;
             else if (name == "ownership_repair")
                 ++c.ownershipRepairs;
+            else
+                exec_instants |= isExecInstant(name);
         }
     }
 
@@ -284,8 +295,12 @@ seriesFromTraceJson(const JsonValue &doc, std::vector<RunSeries> &out)
             s.intervals = s.interval.back();
         out.push_back(std::move(s));
     }
-    if (out.empty())
+    if (out.empty()) {
+        // A sweep whose every job failed leaves only its exec process.
+        if (exec_instants)
+            return Status();
         return Status::error("trace contains no counter samples");
+    }
 
     // Drop totals are summed over jobs at export time; pin them to
     // the first job so a truncated trace still raises a finding.
@@ -408,6 +423,43 @@ execSeriesFromBenchDoc(const JsonValue &doc, ExecSeries &out)
             s.failedIds.push_back(job.at("id").asString());
     out = std::move(s);
     return true;
+}
+
+bool
+execSeriesFromTraceJson(const JsonValue &doc, ExecSeries &out)
+{
+    ExecSeries s;
+    bool found = false;
+    for (const JsonValue &ev : doc.at("traceEvents").elements()) {
+        const std::string &name = ev.at("name").asString();
+        if (ev.at("ph").asString() != "i" || !isExecInstant(name))
+            continue;
+        found = true;
+        if (name == "job_retry") {
+            ++s.retries;
+        } else if (name == "job_timeout") {
+            ++s.timeouts;
+        } else {
+            // The instant's interval is the job's 1-based spec index
+            // and its value the attempts made.
+            const JsonValue &args = ev.at("args");
+            const JsonValue *job = args.find("job");
+            ++s.quarantined;
+            s.failedIds.push_back(
+                job ? job->asString()
+                    : "job " + std::to_string(ev.at("ts").asU64() / 1000));
+            s.failedAttempts.push_back(
+                static_cast<std::uint64_t>(args.at("value").asDouble()));
+        }
+    }
+    if (const JsonValue *restored =
+            doc.at("otherData").find("restored_jobs")) {
+        s.restoredJobs = restored->asU64();
+        found |= s.restoredJobs > 0;
+    }
+    if (found)
+        out = std::move(s);
+    return found;
 }
 
 } // namespace prism::analysis

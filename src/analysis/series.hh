@@ -120,9 +120,11 @@ std::string canonicalSchemeName(const std::string &name);
 Status seriesFromStatsJson(const JsonValue &doc, RunSeries &out);
 
 /**
- * Reconstruct one series per trace process from a parsed
- * `prism-trace-v1` document. Document-level drop totals are
- * attributed to the first job (they are summed over jobs at export).
+ * Reconstruct one series per trace process with counter samples
+ * from a parsed `prism-trace-v1` document (a sweep's exec
+ * pseudo-process has none; execSeriesFromTraceJson reads it).
+ * Document-level drop totals are attributed to the first job (they
+ * are summed over jobs at export).
  */
 Status seriesFromTraceJson(const JsonValue &doc,
                            std::vector<RunSeries> &out);
@@ -151,8 +153,9 @@ Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);
 /**
  * Sweep-execution health: the retry/timeout/quarantine manifest the
  * fault-tolerant exec layer produces (docs/RELIABILITY.md). Filled
- * either live (prism_bench --doctor, from the SweepOutcome) or from
- * the "exec" section of a prism-bench-v1 document.
+ * live (prism_bench --doctor, from the SweepOutcome), from the
+ * "exec" section of a prism-bench-v1 document, or from the exec
+ * pseudo-process of a prism-trace-v1 document.
  */
 struct ExecSeries
 {
@@ -169,6 +172,13 @@ struct ExecSeries
     std::uint64_t checkpointCorrupt = 0;
     /** Ids of quarantined or skipped jobs, spec order. */
     std::vector<std::string> failedIds;
+    /** Trace inputs only (the other inputs keep a record per failed
+     *  job): the attempts each failed job made, parallel to
+     *  failedIds. */
+    std::vector<std::uint64_t> failedAttempts;
+    /** Trace inputs only: jobs restored from a checkpoint, which
+     *  keeps no series, so the trace does not hold them. */
+    std::uint64_t restoredJobs = 0;
 };
 
 /**
@@ -177,6 +187,16 @@ struct ExecSeries
  * sweeps omit it; @p out is then left default-initialised).
  */
 bool execSeriesFromBenchDoc(const JsonValue &doc, ExecSeries &out);
+
+/**
+ * Read the execution record of a parsed `prism-trace-v1` sweep
+ * trace: the exec pseudo-process's job_retry, job_timeout and
+ * job_quarantine instants (each names its job) and
+ * otherData.restored_jobs.
+ * @return true when the trace carries either (clean, whole traces
+ * carry neither; @p out is then left default-initialised).
+ */
+bool execSeriesFromTraceJson(const JsonValue &doc, ExecSeries &out);
 
 } // namespace prism::analysis
 

@@ -76,6 +76,21 @@ class L1Cache
         return false;
     }
 
+    /**
+     * Hint only: start loading the host cache lines a later
+     * access(@p addr) reads (the set's tags, valid bits and
+     * stamps). Changes no state.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        const std::size_t base =
+            static_cast<std::size_t>(addr & (num_sets_ - 1)) * ways_;
+        __builtin_prefetch(tags_.data() + base);
+        __builtin_prefetch(valid_.data() + base);
+        __builtin_prefetch(stamp_.data() + base);
+    }
+
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 

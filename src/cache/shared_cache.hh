@@ -181,6 +181,31 @@ class SharedCache
      */
     AccessResult access(CoreId core, Addr addr, bool is_store = false);
 
+    /**
+     * Hint only: start loading the host cache lines a later
+     * access(core, @p addr) reads in @p addr's set — the tag
+     * signatures, the recency list, the fill count, the owners the
+     * victim walk reads and the valid and dirty bytes. A simulator
+     * that knows its next accesses early issues this well ahead, so
+     * the set's metadata has arrived when the access runs. Changes
+     * no state.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        const std::uint32_t set = setIndex(addr);
+        const std::size_t base =
+            static_cast<std::size_t>(set) * config_.ways;
+        const std::size_t ways = config_.ways;
+        prefetchLines(sig_.data() + base, ways);
+        prefetchLines(&sets_[set], sizeof(SetState));
+        __builtin_prefetch(&set_filled_[set]);
+        prefetchLines(blocks_.owner.data() + base,
+                      ways * sizeof(CoreId));
+        prefetchLines(blocks_.valid.data() + base, ways);
+        prefetchLines(blocks_.dirty.data() + base, ways);
+    }
+
     // --- geometry ---
     const CacheConfig &config() const { return config_; }
     std::uint32_t numSets() const { return num_sets_; }
@@ -255,6 +280,17 @@ class SharedCache
     {
         std::int64_t v = 0;
     };
+
+    /** Prefetch every 64-byte line of [@p p, @p p + @p bytes). */
+    static void
+    prefetchLines(const void *p, std::size_t bytes)
+    {
+        const char *c = static_cast<const char *>(p);
+        for (std::size_t off = 0; off < bytes; off += 64)
+            __builtin_prefetch(c + off);
+        // The last line, when the range does not start on a line.
+        __builtin_prefetch(c + bytes - 1);
+    }
 
     void endInterval();
 

@@ -6,6 +6,7 @@
 #include "common/prism_assert.hh"
 #include "plane/way_mask_scheme.hh"
 #include "prism/prism_scheme.hh"
+#include "sim/clock_tree.hh"
 #include "workload/trace_generator.hh"
 
 namespace prism
@@ -65,6 +66,7 @@ System::System(const MachineConfig &config, const Workload &workload,
             Rng(config_.seed * 31 + c * 17 + 5),
         };
         cores_.push_back(std::move(core));
+        drawNext(cores_.back());
     }
 }
 
@@ -82,8 +84,9 @@ System::step(CoreId id)
     c.instructions += k;
     c.cycle += static_cast<double>(k) * c.profile->cpiIdeal;
 
-    const Addr addr = c.gen->next();
-    const bool is_store = c.store_rng.chance(c.profile->storeFrac);
+    const Addr addr = c.next_addr;
+    const bool is_store = c.next_store;
+    drawNext(c);
     if (c.l1.access(addr))
         return;
 
@@ -105,6 +108,18 @@ System::step(CoreId id)
         mem_.request(addr, c.cycle) / c.profile->mlp;
     c.cycle += lat;
     c.llc_stall += lat;
+}
+
+void
+System::drawNext(Core &c)
+{
+    c.next_addr = c.gen->next();
+    c.next_store = c.store_rng.chance(c.profile->storeFrac);
+    // The cores step in clock order, so at n cores about n - 1 other
+    // steps run before this access does: time for these loads to
+    // arrive.
+    c.l1.prefetch(c.next_addr);
+    llc_.prefetch(c.next_addr);
 }
 
 void
@@ -197,6 +212,18 @@ System::fillTiming(IntervalSnapshot &snap)
 SystemResult
 System::run()
 {
+    std::vector<double> clocks(config_.numCores);
+    for (CoreId i = 0; i < config_.numCores; ++i)
+        clocks[i] = cores_[i].cycle;
+    ClockTree order(clocks);
+    const auto stepEarliest = [&]() {
+        const CoreId id = order.next();
+        step(id);
+        order.update(id, cores_[id].cycle);
+        pollCancel();
+        return id;
+    };
+
     // --- warm-up: fill the cache and let policies converge ---
     // All cores keep running (in global time order, like the measured
     // phase) until the slowest one crosses the warm-up budget, so the
@@ -205,16 +232,7 @@ System::run()
         std::uint32_t warm = 0;
         std::vector<char> done(config_.numCores, 0);
         while (warm < config_.numCores) {
-            CoreId next = 0;
-            double best = -1.0;
-            for (CoreId i = 0; i < config_.numCores; ++i) {
-                if (best < 0.0 || cores_[i].cycle < best) {
-                    best = cores_[i].cycle;
-                    next = i;
-                }
-            }
-            step(next);
-            pollCancel();
+            const CoreId next = stepEarliest();
             if (!done[next] &&
                 cores_[next].instructions >= config_.warmupInstr) {
                 done[next] = 1;
@@ -237,16 +255,7 @@ System::run()
 
     std::uint32_t finished = 0;
     while (finished < config_.numCores) {
-        CoreId next = 0;
-        double best = -1.0;
-        for (CoreId i = 0; i < config_.numCores; ++i) {
-            if (best < 0.0 || cores_[i].cycle < best) {
-                best = cores_[i].cycle;
-                next = i;
-            }
-        }
-        step(next);
-        pollCancel();
+        const CoreId next = stepEarliest();
         Core &c = cores_[next];
         if (!c.finished && c.instructions >= config_.instrBudget) {
             c.finished = true;

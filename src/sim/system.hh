@@ -15,6 +15,18 @@
  * interval boundary it augments the snapshot with per-core CPI
  * statistics so that timing-aware allocation policies (PriSM-F,
  * PriSM-Q) see the performance counters the paper assumes.
+ *
+ * Step loop. A ClockTree (sim/clock_tree.hh) over the core clocks
+ * names the next core to step, the lowest clock with the lowest
+ * index on ties, and each step replays one leaf-to-root path instead
+ * of scanning every core. Each core draws its next access one step
+ * ahead from its own generator and store RNG, so every stream keeps
+ * its draw order and every output its bytes. Right after the draw
+ * the system prefetches the host cache lines that access will read
+ * (L1Cache::prefetch, SharedCache::prefetch): a 32-core job's
+ * simulator state is several times the host's L2, so the step loop
+ * mostly waits on memory, and the core steps again only after the
+ * others have, by which time the lines have arrived.
  */
 
 #ifndef PRISM_SIM_SYSTEM_HH
@@ -122,6 +134,9 @@ class System
         std::unique_ptr<AccessGenerator> gen;
         L1Cache l1;
         Rng store_rng; ///< classifies accesses as loads/stores
+        /** The core's next access, drawn one step ahead. */
+        Addr next_addr = 0;
+        bool next_store = false;
         double cycle = 0.0;
         double instr_carry = 0.0;
         std::uint64_t instructions = 0;
@@ -139,6 +154,12 @@ class System
 
     /** Advance @p core by one access segment. */
     void step(CoreId id);
+
+    /**
+     * Draw @p c's next access from its generator and store RNG and
+     * prefetch the L1 and LLC lines that access will read.
+     */
+    void drawNext(Core &c);
 
     /** Reset measured statistics after warm-up. */
     void resetStats();

@@ -90,7 +90,8 @@ writeCounterEvent(JsonWriter &w, std::string_view name,
 
 void
 writeInstantEvent(JsonWriter &w, std::uint64_t pid,
-                  const TelemetryEvent &ev)
+                  const TelemetryEvent &ev,
+                  std::span<const std::string> job_ids)
 {
     beginEvent(w, eventKindName(ev.kind), "i", pid,
                intervalTs(ev.interval));
@@ -99,6 +100,8 @@ writeInstantEvent(JsonWriter &w, std::uint64_t pid,
     w.beginObject();
     if (ev.core != invalidCore)
         w.kv("core", static_cast<std::uint64_t>(ev.core));
+    if (ev.interval >= 1 && ev.interval <= job_ids.size())
+        w.kv("job", job_ids[ev.interval - 1]);
     w.kv("value", ev.value);
     w.endObject();
     w.endObject();
@@ -145,7 +148,8 @@ spanAggregates(const MetricsRegistry &metrics)
 void
 TraceWriter::writeChromeTrace(std::ostream &os,
                               std::span<const TraceJob> jobs,
-                              const MetricsRegistry *metrics) const
+                              const MetricsRegistry *metrics,
+                              std::uint64_t restored_jobs) const
 {
     JsonWriter w(os);
     w.beginObject();
@@ -166,6 +170,8 @@ TraceWriter::writeChromeTrace(std::ostream &os,
     w.kv("jobs", static_cast<std::uint64_t>(jobs.size()));
     w.kv("dropped_samples", dropped_samples);
     w.kv("dropped_events", dropped_events);
+    if (restored_jobs > 0)
+        w.kv("restored_jobs", restored_jobs);
     if (metrics) {
         w.key("metrics");
         metrics->writeJson(w, options_.includeWallTime);
@@ -196,7 +202,7 @@ TraceWriter::writeChromeTrace(std::ostream &os,
         }
 
         for (std::size_t i = 0; i < rec.eventCount(); ++i)
-            writeInstantEvent(w, pid, rec.event(i));
+            writeInstantEvent(w, pid, rec.event(i), job.jobIds);
     }
 
     if (options_.includeWallTime && metrics) {

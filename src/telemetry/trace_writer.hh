@@ -35,6 +35,12 @@ struct TraceJob
 {
     std::string name;
     const IntervalRecorder *recorder = nullptr;
+    /**
+     * For a sweep's exec pseudo-job, whose instants carry a 1-based
+     * job spec index as their interval: the sweep's job ids in spec
+     * order. Each such instant then names its job (a "job" arg).
+     */
+    std::span<const std::string> jobIds = {};
 };
 
 /** TraceWriter knobs. */
@@ -60,11 +66,15 @@ class TraceWriter
     /**
      * Write the "prism-trace-v1" Chrome trace-event document for
      * @p jobs; @p metrics (may be null) adds the span/counter
-     * snapshot to otherData.
+     * snapshot to otherData. A non-zero @p restored_jobs, the count
+     * of a resumed sweep's jobs restored from its checkpoint (which
+     * keeps no series, so they are not in @p jobs), is recorded as
+     * otherData.restored_jobs.
      */
     void writeChromeTrace(std::ostream &os,
                           std::span<const TraceJob> jobs,
-                          const MetricsRegistry *metrics = nullptr) const;
+                          const MetricsRegistry *metrics = nullptr,
+                          std::uint64_t restored_jobs = 0) const;
 
     /**
      * Write the interval series as flat CSV, one row per

@@ -304,6 +304,41 @@ TEST(Resume, SigtermSavesCheckpointAndResumesToGolden)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Resume, ResumedTraceReportsItsRestoredJobs)
+{
+    // The checkpoint keeps no series, so the resumed sweep's trace
+    // holds only the jobs it ran. It says so on stderr and in
+    // otherData, and prism_doctor WARNs on it.
+    const std::string dir = scratchDir("restored_trace");
+    const std::string ckpt = dir + "/f.ckpt.json";
+    const std::string trace = dir + "/trace.json";
+    const RunOutcome killed = run(
+        benchBin(), benchFixture(dir, "--ckpt " + ckpt + " --die-after 3"));
+    EXPECT_FALSE(killed.cleanExit()) << killed.out;
+    ASSERT_EQ(checkpointJobs(ckpt), 3u);
+
+    const RunOutcome resumed = run(
+        benchBin(), benchFixture(dir, "--ckpt " + ckpt +
+                                          " --resume --trace " + trace));
+    ASSERT_TRUE(resumed.cleanExit()) << resumed.out;
+    EXPECT_NE(resumed.out.find("trace lacks 3 job(s) restored from the "
+                               "checkpoint"),
+              std::string::npos)
+        << resumed.out;
+
+    prism::JsonValue doc;
+    ASSERT_TRUE(prism::parseJson(slurp(trace), doc).ok());
+    EXPECT_EQ(doc.at("otherData").at("restored_jobs").asU64(), 3u);
+    EXPECT_EQ(doc.at("otherData").at("jobs").asU64(), 7u);
+
+    const RunOutcome graded = run(doctorBin(), trace);
+    EXPECT_EQ(graded.exitCode(), 0) << graded.out;
+    EXPECT_NE(graded.out.find("[WARN] exec.restored_jobs = 3"),
+              std::string::npos)
+        << graded.out;
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Resume, MissingCheckpointRunsFullSweep)
 {
     const std::string dir = scratchDir("missing_ckpt");
@@ -445,6 +480,58 @@ TEST(DoctorExec, FlagsQuarantinedJobsInBenchJson)
     EXPECT_EQ(doc.exitCode(), 1)
         << "quarantined jobs must FAIL the doctor: " << doc.out;
     EXPECT_NE(doc.out.find("exec.job_quarantined"), std::string::npos)
+        << doc.out;
+    std::filesystem::remove_all(dir);
+}
+
+TEST(DoctorExec, FlagsQuarantinedJobsInTheTraceAsInBenchJson)
+{
+    // The trace's exec process carries the retries and quarantines
+    // the BENCH document's manifest does: both FAIL, and both name
+    // the quarantined jobs.
+    const std::string dir = scratchDir("doctor_trace");
+    const std::string trace = dir + "/trace.json";
+    const RunOutcome bench = run(
+        benchBin(), benchFixture(dir, "--retries 1 --chaos job_crash@4 "
+                                      "--trace " + trace));
+    EXPECT_EQ(bench.exitCode(), 1) << bench.out;
+
+    for (const std::string &input :
+         {trace, dir + "/BENCH_fixture.json"}) {
+        const RunOutcome doc = run(doctorBin(), input);
+        EXPECT_EQ(doc.exitCode(), 1)
+            << input << ": quarantined jobs must FAIL the doctor: "
+            << doc.out;
+        EXPECT_NE(doc.out.find("=== prism_doctor: GF/FairWP ===\n"
+                               "  [FAIL] exec.job_quarantined = 2"),
+                  std::string::npos)
+            << input << ": " << doc.out;
+        EXPECT_NE(doc.out.find("[WARN] exec.retries = 2"),
+                  std::string::npos)
+            << input << ": " << doc.out;
+        EXPECT_NE(doc.out.find("2 jobs quarantined (GF/FairWP, "
+                               "b6/SS/PriSM-H)"),
+                  std::string::npos)
+            << input << ": " << doc.out;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(DoctorExec, TraceOfAllQuarantinedJobsIsGraded)
+{
+    // Every job fails, so the trace holds only its exec process: the
+    // doctor grades it (FAIL) instead of refusing the input.
+    const std::string dir = scratchDir("doctor_all_failed");
+    const std::string trace = dir + "/trace.json";
+    const RunOutcome bench = run(
+        benchBin(),
+        benchFixture(dir, "--retries 0 --chaos job_crash@1 --trace " +
+                              trace));
+    EXPECT_EQ(bench.exitCode(), 1) << bench.out;
+
+    const RunOutcome doc = run(doctorBin(), trace);
+    EXPECT_EQ(doc.exitCode(), 1) << doc.out;
+    EXPECT_NE(doc.out.find("11 of 11 jobs FAIL"), std::string::npos)
         << doc.out;
     std::filesystem::remove_all(dir);
 }

@@ -39,9 +39,11 @@ echo "== sanitizer gate =="
 # suites reach the per-shard parallel eviction stage at up to 8
 # threads, after the sequential victim plan. Then ASan + UBSan over
 # the fault-injection suite (injected occupancy faults push counters
-# to the edge of their range) and the serve units, halting on the
-# first undefined-behaviour report. Each tree builds only what it
-# runs; they sit next to the main build directory.
+# to the edge of their range), the serve units and the simulator's
+# step loop (the core scheduler's winner tree, each core's
+# look-ahead access and the prefetch addresses computed from it),
+# halting on the first undefined-behaviour report. Each tree builds
+# only what it runs; they sit next to the main build directory.
 tsan_build="$build-tsan"
 # shellcheck disable=SC2086
 cmake -B "$tsan_build" -S "$repo" -DPRISM_TSAN=ON ${CMAKE_ARGS:-}
@@ -50,9 +52,12 @@ cmake --build "$tsan_build" -j --target test_serve test_serve_determinism
 asan_build="$build-asan"
 # shellcheck disable=SC2086
 cmake -B "$asan_build" -S "$repo" -DPRISM_SANITIZE=ON ${CMAKE_ARGS:-}
-cmake --build "$asan_build" -j --target test_fault_injection test_serve
-UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/test_fault_injection"
-UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/test_serve"
+cmake --build "$asan_build" -j --target test_fault_injection test_serve \
+    test_system_integration test_step_loop_golden test_clock_tree
+for t in test_fault_injection test_serve test_system_integration \
+    test_step_loop_golden test_clock_tree; do
+    UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/$t"
+done
 
 echo "== bench regression gate =="
 out=$(mktemp -d)

@@ -341,6 +341,19 @@ main(int argc, char **argv)
                 st = seriesFromTraceJson(doc, runs);
                 for (const RunSeries &s : runs)
                     jobs.push_back(analyze(s, thresholds));
+                // A supervised sweep's trace records its failed jobs
+                // and retries in the exec process; grade them as the
+                // BENCH path does.
+                ExecSeries exec_series;
+                if (st.ok() &&
+                    execSeriesFromTraceJson(doc, exec_series)) {
+                    for (std::size_t i = 0;
+                         i < exec_series.failedIds.size(); ++i)
+                        jobs.push_back(failedJobVerdict(
+                            exec_series.failedIds[i], false,
+                            exec_series.failedAttempts[i], ""));
+                    jobs.push_back(analyzeExec(exec_series));
+                }
                 break;
               }
               case InputKind::Bench: {
