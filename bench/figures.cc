@@ -648,6 +648,7 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
         exec_series.tornWrites =
             ckpt_writer ? ckpt_writer->tornWrites() : 0;
         exec_series.checkpointCorrupt = ckpt_corrupt;
+        exec_series.checkpointCounters = true;
         for (std::size_t i = 0; i < outcome.reports.size(); ++i)
             if (!outcome.reports[i].succeeded())
                 exec_series.failedIds.push_back(spec.jobs[i].id);

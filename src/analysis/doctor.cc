@@ -775,11 +775,21 @@ analyzeExec(const ExecSeries &s)
 
     counter("exec.skipped", s.skipped, FindingStatus::Warn,
             "jobs skipped by shutdown request");
-    counter("exec.torn_writes", s.tornWrites, FindingStatus::Warn,
-            "torn checkpoint flushes injected");
-    counter("exec.checkpoint", s.checkpointCorrupt,
-            FindingStatus::Fail,
-            "corrupt checkpoints discarded at resume");
+    if (s.checkpointCounters) {
+        counter("exec.torn_writes", s.tornWrites, FindingStatus::Warn,
+                "torn checkpoint flushes injected");
+        counter("exec.checkpoint", s.checkpointCorrupt,
+                FindingStatus::Fail,
+                "corrupt checkpoints discarded at resume");
+    } else {
+        for (const char *check : {"exec.torn_writes", "exec.checkpoint"}) {
+            Finding f;
+            f.check = check;
+            f.status = FindingStatus::Skip;
+            f.detail = "the input does not record checkpoint writes";
+            v.findings.push_back(std::move(f));
+        }
+    }
     // Trace inputs only: a resumed sweep's trace grades fewer jobs
     // than the sweep ran.
     if (s.restoredJobs > 0)

@@ -170,6 +170,10 @@ struct ExecSeries
     std::uint64_t tornWrites = 0;
     /** Corrupt / mismatched checkpoints discarded at resume. */
     std::uint64_t checkpointCorrupt = 0;
+    /** tornWrites and checkpointCorrupt were recorded: true on the
+     *  live path only, since BENCH documents and traces keep
+     *  neither. */
+    bool checkpointCounters = false;
     /** Ids of quarantined or skipped jobs, spec order. */
     std::vector<std::string> failedIds;
     /** Trace inputs only (the other inputs keep a record per failed

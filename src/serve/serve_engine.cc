@@ -46,6 +46,8 @@ ServeEngine::ServeEngine(const ServeConfig &config) : config_(config)
     fatalIf(config_.tenants.empty(), "ServeEngine: no tenants");
     fatalIf(config_.streams == 0, "ServeEngine: no streams");
     fatalIf(config_.batch == 0, "ServeEngine: empty batch");
+    fatalIf(std::uint64_t{config_.streams} * config_.batch > UINT32_MAX,
+            "ServeEngine: a round's requests must be 32-bit indexable");
     fatalIf(config_.capacityBytes == 0, "ServeEngine: no capacity");
     fatalIf(!makeTenantPolicy(config_.policy, {}),
             "ServeEngine: unknown policy (use H, F or Q)");
@@ -105,15 +107,15 @@ ServeEngine::run()
     spec_mean_bytes =
         std::max<std::uint64_t>(1, spec_mean_bytes / tenants);
 
-    // Round-pipeline scratch, reused every round.
+    // Round-pipeline buffers, reused every round. Stream s fills
+    // entries [s * batch, s * batch + stream_fill[s]) of requests and
+    // of request_shard, and its put count.
     const std::uint32_t streams = config_.streams;
-    std::vector<std::vector<Request>> per_stream(streams);
-    for (auto &batch : per_stream)
-        batch.resize(config_.batch);
+    const std::uint32_t batch = config_.batch;
+    std::vector<Request> requests(std::size_t{streams} * batch);
+    std::vector<std::uint32_t> request_shard(requests.size());
     std::vector<std::uint32_t> stream_fill(streams, 0);
-    std::vector<Request> merged;
-    merged.reserve(static_cast<std::size_t>(streams) *
-                   config_.batch);
+    std::vector<std::uint32_t> stream_puts(streams, 0);
     std::vector<std::vector<std::uint32_t>> by_shard(
         store.shardCount());
     std::vector<std::uint64_t> unplanned_bytes(tenants, 0);
@@ -247,9 +249,7 @@ ServeEngine::run()
             if (remaining == 0)
                 break;
             const std::uint64_t round_ops = std::min<std::uint64_t>(
-                remaining,
-                static_cast<std::uint64_t>(streams) *
-                    config_.batch);
+                remaining, std::uint64_t{streams} * batch);
             for (std::uint32_t s = 0; s < streams; ++s)
                 stream_fill[s] = static_cast<std::uint32_t>(
                     round_ops / streams +
@@ -257,50 +257,54 @@ ServeEngine::run()
         } else {
             if (Clock::now() >= deadline)
                 break;
-            std::fill(stream_fill.begin(), stream_fill.end(),
-                      config_.batch);
+            std::fill(stream_fill.begin(), stream_fill.end(), batch);
         }
 
-        // --- (1) parallel per-stream batch fill --------------------
+        // --- (1) parallel per-stream batch fill and routing --------
         for (std::uint32_t s = 0; s < streams; ++s) {
             if (stream_fill[s] == 0)
                 continue;
-            pool.submit([&gen, &per_stream, &stream_fill, s] {
-                gen.fill(s, std::span<Request>(
-                                per_stream[s].data(),
-                                stream_fill[s]));
+            pool.submit([&gen, &store, &requests, &request_shard,
+                         &stream_fill, &stream_puts, batch, s] {
+                const std::size_t first = std::size_t{s} * batch;
+                const std::span<Request> reqs(&requests[first],
+                                              stream_fill[s]);
+                gen.fill(s, reqs);
+                std::uint32_t puts = 0;
+                for (std::size_t i = 0; i < reqs.size(); ++i) {
+                    request_shard[first + i] =
+                        store.shardOf(reqs[i].tenant, reqs[i].key);
+                    puts += reqs[i].isPut ? 1 : 0;
+                }
+                stream_puts[s] = puts;
             });
         }
         pool.wait();
 
-        // --- (2) deterministic round-robin merge -------------------
-        merged.clear();
-        for (std::uint32_t i = 0; i < config_.batch; ++i)
-            for (std::uint32_t s = 0; s < streams; ++s)
-                if (i < stream_fill[s])
-                    merged.push_back(per_stream[s][i]);
-        if (merged.empty())
-            break;
-
-        // --- (3) partition by shard, parallel apply ----------------
+        // --- (2) partition by shard in round-robin order -----------
+        // Each shard's slice lists its requests in (batch position,
+        // stream) order, the fixed interleave of the streams.
+        std::uint64_t round_ops = 0;
+        for (std::uint32_t s = 0; s < streams; ++s) {
+            round_ops += stream_fill[s];
+            result.puts += stream_puts[s];
+            result.gets += stream_fill[s] - stream_puts[s];
+        }
         for (auto &list : by_shard)
             list.clear();
-        for (std::uint32_t i = 0;
-             i < static_cast<std::uint32_t>(merged.size()); ++i) {
-            const Request &req = merged[i];
-            by_shard[store.shardOf(req.tenant, req.key)].push_back(
-                i);
-            if (req.isPut)
-                ++result.puts;
-            else
-                ++result.gets;
-        }
+        for (std::uint32_t i = 0; i < batch; ++i)
+            for (std::uint32_t s = 0; s < streams; ++s)
+                if (i < stream_fill[s]) {
+                    const std::uint32_t idx = s * batch + i;
+                    by_shard[request_shard[idx]].push_back(idx);
+                }
 
+        // --- (3) parallel apply ------------------------------------
         for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh) {
             const std::vector<std::uint32_t> &list = by_shard[sh];
             if (list.empty())
                 continue;
-            pool.submit([&store, &merged, &list, &latency, sh,
+            pool.submit([&store, &requests, &list, &latency, sh,
                          timing = config_.timing] {
                 std::vector<std::uint8_t> buf;
                 // One lock hold for the whole slice: locking per op
@@ -308,7 +312,7 @@ ServeEngine::run()
                 // instructions that wait for its value copy's stores.
                 ShardedStore::ShardLock shard = store.lockShard(sh);
                 for (const std::uint32_t idx : list) {
-                    const Request &req = merged[idx];
+                    const Request &req = requests[idx];
                     const auto t0 =
                         timing ? Clock::now() : Clock::time_point();
                     if (req.isPut) {
@@ -328,15 +332,19 @@ ServeEngine::run()
                                     Clock::now() - t0)
                                     .count()));
                 }
+                // Still under the lock: the plan reads the victims'
+                // bytes from this record.
+                shard.recordTails();
             });
         }
         pool.wait();
-        result.ops += merged.size();
+        result.ops += round_ops;
         ++result.rounds;
 
         // --- (4) sequential victim plan ----------------------------
         // Draw victims until occupancy net of the planned evictions
-        // fits the budget. Only the draws depend on global order.
+        // fits the budget. Only the draws depend on global order;
+        // the shard tasks recorded the LRU tails the plan reads.
         std::uint64_t occupancy = store.totalBytes();
         for (std::uint32_t t = 0; t < tenants; ++t)
             unplanned_bytes[t] = store.tenantBytes(t);

@@ -4,22 +4,34 @@
  * under the PriSM tenant arbiter, with deterministic output.
  *
  * Execution is round-based. Each round: (1) every logical stream
- * fills one request batch (streams fan out over the worker pool),
- * (2) the batches are merged in a fixed round-robin interleave,
- * (3) the merged sequence is partitioned by shard and each shard's
- * slice is applied in merged order under one hold of the shard's
- * lock (ShardedStore::lockShard; shards fan out over the pool),
- * (4) after the barrier one sequential pass samples victim tenants
- * from the arbiter's Equation 1 distribution and plans each
- * eviction in the store, until occupancy net of the planned
- * evictions fits the byte budget; then one pool task per shard
- * executes that shard's plan, and (5) once the interval's miss
- * quota W is met, the control loop closes the interval and
+ * fills its slice of one stream-major request buffer and routes it,
+ * recording each request's shard and the stream's put count
+ * (streams fan out over the worker pool), (2) a sequential pass
+ * appends each request's index to its shard's list in a fixed
+ * round-robin interleave (batch position, then stream), (3) each
+ * shard's list is applied in that order under one hold of the
+ * shard's lock (ShardedStore::lockShard; shards fan out over the
+ * pool), and before releasing the lock the task records the shard's
+ * LRU tails for the plan (ShardLock::recordTails), (4) after the
+ * barrier one sequential pass samples victim tenants from the
+ * arbiter's Equation 1 distribution and plans each eviction in the
+ * store, reading victims from the tail records, until occupancy net
+ * of the planned evictions fits the byte budget; then one pool task
+ * per shard executes that shard's plan, and (5) once the interval's
+ * miss quota W is met, the control loop closes the interval and
  * recomputes targets and distribution.
  *
- * Because streams (not threads) own the RNGs, the merge order is a
+ * Concurrency: a fill task writes only its stream's slice and put
+ * count, and an apply or eviction task touches only its shard,
+ * under that shard's lock. The sequential sections run between
+ * barriers (ThreadPool::wait), so the plan reads the tail records
+ * the apply tasks left without taking a lock, and no lock is open
+ * until the eviction tasks take theirs.
+ *
+ * Because streams (not threads) own the RNGs, the interleave is a
  * pure function of batch shape, shard routing is a pure function of
- * keys, per-shard application order follows the merge order, the
+ * keys, per-shard application order follows the interleave, a tail
+ * record holds only what the plan would read from the LRU list, the
  * victim draws and the control loop run sequentially, and each
  * shard's eviction task depends only on that shard's plan, every
  * deterministic output is byte-identical at any `--threads` for a

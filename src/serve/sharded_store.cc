@@ -270,6 +270,7 @@ ShardedStore::insertLocked(Shard &shard, std::uint32_t tenant,
                            std::uint64_t key, std::uint64_t hash,
                            std::span<const std::uint8_t> value)
 {
+    shard.tailsValid = false;
     // Keep the probe chains short: grow/compact at 70% occupied
     // (tombstones included — they lengthen probes like live slots).
     if ((shard.filled + 1) * 10 >= shard.slots.size() * 7)
@@ -347,6 +348,7 @@ ShardedStore::getLocked(Shard &shard, std::uint32_t tenant,
                         std::uint64_t key, std::uint64_t hash,
                         std::vector<std::uint8_t> *value_out)
 {
+    shard.tailsValid = false;
     GetResult result;
     TenantCounters &counters = shard.counters[tenant];
     const std::uint32_t idx = findSlot(shard, tenant, key, hash);
@@ -393,6 +395,7 @@ ShardedStore::ShardLock::ShardLock(ShardedStore &store,
     : store_(store), shard_(store.shards_[shard]), index_(shard),
       hold_(shard_.mutex)
 {
+    shard_.tailsValid = false;
 }
 
 ShardedStore::ShardLock
@@ -431,6 +434,23 @@ ShardedStore::ShardLock::put(std::uint32_t tenant, std::uint64_t key,
                         value);
 }
 
+void
+ShardedStore::ShardLock::recordTails()
+{
+    for (std::uint32_t t = 0; t < shard_.tails.size(); ++t) {
+        TailRecord &record = shard_.tails[t];
+        record.bytes.clear();
+        std::uint32_t idx = shard_.lruTail[t];
+        for (std::uint32_t i = 0; i < record.depth && idx != kNil; ++i) {
+            const Slot &slot = shard_.slots[idx];
+            record.bytes.push_back(slot.value.size());
+            idx = slot.prev;
+        }
+        record.resume = idx;
+    }
+    shard_.tailsValid = !shard_.tails.empty();
+}
+
 ShardedStore::PlannedVictim
 ShardedStore::planVictim(std::uint32_t tenant)
 {
@@ -446,17 +466,26 @@ ShardedStore::planVictim(std::uint32_t tenant)
         const Shard &shard = shards_[shard_idx];
         PlanCell &cell = plan_[planIndex(shard_idx, tenant)];
         // The planned objects are the tail of the tenant's LRU list,
-        // so the next victim is the one just before them.
-        const std::uint32_t victim =
-            cell.count == 0 ? shard.lruTail[tenant] : cell.next;
-        if (victim == kNil)
-            continue;
-
-        const Slot &slot = shard.slots[victim];
-        const auto bytes =
-            static_cast<std::uint64_t>(slot.value.size());
+        // so the next victim is the one just before them: recorded,
+        // or found from where the record (or the list) ends.
+        const TailRecord *record =
+            shard.tailsValid ? &shard.tails[tenant] : nullptr;
+        const std::size_t recorded = record ? record->bytes.size() : 0;
+        std::uint64_t bytes = 0;
+        if (cell.count < recorded) {
+            bytes = record->bytes[cell.count];
+        } else {
+            const std::uint32_t victim =
+                cell.count > recorded ? cell.next
+                : record              ? record->resume
+                                      : shard.lruTail[tenant];
+            if (victim == kNil)
+                continue;
+            const Slot &slot = shard.slots[victim];
+            bytes = slot.value.size();
+            cell.next = slot.prev;
+        }
         ++cell.count;
-        cell.next = slot.prev;
         cell.bytes += bytes;
         // Advance so successive evictions spread over shards instead
         // of draining one shard's list end to end.
@@ -507,10 +536,14 @@ ShardedStore::evictPlanned(std::uint32_t shard_idx)
     // so the pool never outgrows one pass of evictions.
     for (std::vector<Buffer> &spares : shard.spares)
         spares.clear();
+    shard.tailsValid = false;
+    if (shard.tails.empty())
+        shard.tails.resize(tenants_);
     std::uint64_t total_freed = 0;
     std::uint64_t evicted = 0;
     for (std::uint32_t t = 0; t < tenants_; ++t) {
         PlanCell &cell = plan_[planIndex(shard_idx, t)];
+        shard.tails[t].depth = cell.count;
         if (cell.count == 0)
             continue;
         std::uint64_t freed = 0;

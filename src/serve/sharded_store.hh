@@ -32,6 +32,17 @@
  * planned objects tail first. evictOneFrom is exactly one plan
  * followed by the execution of its shard.
  *
+ * Planning reads each victim's bytes from its LRU list, a pointer
+ * chase through cold slots. ShardLock::recordTails moves that chase
+ * to the lock holder: it records each tenant's LRU tail, tail first,
+ * keeping each object's bytes, as deep as the tenant's count in the
+ * shard's previous plan (the records are allocated by the shard's
+ * first eviction pass). planEviction reads victims from the record
+ * and walks the list only past its end. A record is valid from
+ * recordTails until the next get, put, lockShard or evictPlanned on
+ * its shard, which discard it; a plan without a valid record walks
+ * the list from the tail, so a record changes no choice.
+ *
  * Evicted value buffers are not freed: each shard keeps them as
  * spares under its mutex, grouped by size class (16-byte steps up to
  * 128 B, then 8 classes per power of two), and a put that needs a
@@ -57,7 +68,9 @@
  *  - planning is sequential and reads shards without their locks, so
  *    from the first planEviction until the last evictPlanned returns
  *    no get or put may run and no shard lock may be open.
- * evictPlanned calls on distinct shards may run concurrently.
+ * evictPlanned calls on distinct shards may run concurrently. A
+ * tail record is written only under its shard's lock and read only
+ * by the plan, which the second rule orders after every lock hold.
  *
  * Determinism: identical operation sequences per shard produce
  * identical state at any thread count — nothing in a shard depends
@@ -146,6 +159,10 @@ class ShardedStore
         void put(std::uint32_t tenant, std::uint64_t key,
                  std::span<const std::uint8_t> value);
 
+        /** Record each tenant's LRU tail for the next plan (see the
+         *  file comment); a no-op before the first eviction pass. */
+        void recordTails();
+
       private:
         friend class ShardedStore;
         ShardLock(ShardedStore &store, std::uint32_t shard);
@@ -202,7 +219,8 @@ class ShardedStore
      * counting the evictions already planned: the tenant's round-
      * robin shard cursor picks the first shard where it still holds
      * an unplanned object, and the victim is the least recent of
-     * those. Changes only the plan and the cursor.
+     * those, read from the shard's tail record while it lasts.
+     * Changes only the plan and the cursor.
      * @return The victim's bytes; 0 when the tenant holds nothing
      * unplanned (the caller then applies its victimless fallback).
      */
@@ -215,7 +233,8 @@ class ShardedStore
      * Execute shard @p shard's plan and clear it: free the spares
      * the shard's previous pass left, then evict each tenant's
      * planned count from its LRU tail, keeping the victims' buffers
-     * as the shard's new spares. Panics when the bytes freed differ
+     * as the shard's new spares, and keep the counts as the next
+     * tail record's depths. Panics when the bytes freed differ
      * from the bytes planned (the shard changed between plan and
      * execute). Safe to run concurrently for distinct shards.
      */
@@ -331,6 +350,17 @@ class ShardedStore
         Counter shadowHits{0};
     };
 
+    /** One tenant's LRU tail in one shard, as recordTails left it. */
+    struct TailRecord
+    {
+        /** The tenant's count in the shard's previous plan. */
+        std::uint32_t depth = 0;
+        /** The object before the recorded ones; kNil at the head. */
+        std::uint32_t resume = kNil;
+        /** The recorded objects' value bytes, tail first. */
+        std::vector<std::uint64_t> bytes;
+    };
+
     struct Shard
     {
         mutable std::mutex mutex;
@@ -350,6 +380,10 @@ class ShardedStore
          * spare of a value's class holds the value.
          */
         std::vector<std::vector<Buffer>> spares;
+        /** Per tenant; allocated by the shard's first eviction pass. */
+        std::vector<TailRecord> tails;
+        /** tails holds the current LRU tails (see recordTails). */
+        bool tailsValid = false;
     };
 
     static std::uint64_t
@@ -382,7 +416,7 @@ class ShardedStore
     struct PlanCell
     {
         std::uint32_t count = 0;   ///< objects planned, tail first
-        std::uint32_t next = kNil; ///< next candidate once count > 0
+        std::uint32_t next = kNil; ///< next candidate past the record
         std::uint64_t bytes = 0;   ///< their value bytes
     };
 

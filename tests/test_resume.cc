@@ -449,8 +449,15 @@ TEST(Chaos, AllocFailAndCrashMixStillCompletes)
                      "--chaos job_crash@3*1,alloc_fail@4*1 --doctor"));
     // Everything recovers, so the doctor must not fail the run...
     EXPECT_TRUE(r.cleanExit()) << r.out;
-    // ...but it must surface the retried attempts as warnings.
+    // ...but it must surface the retried attempts as warnings, and
+    // grade the checkpoint writes it saw.
     EXPECT_NE(r.out.find("exec"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("[PASS] exec.torn_writes = 0"),
+              std::string::npos)
+        << r.out;
+    EXPECT_NE(r.out.find("[PASS] exec.checkpoint = 0"),
+              std::string::npos)
+        << r.out;
     std::filesystem::remove_all(dir);
 }
 
@@ -488,7 +495,8 @@ TEST(DoctorExec, FlagsQuarantinedJobsInTheTraceAsInBenchJson)
 {
     // The trace's exec process carries the retries and quarantines
     // the BENCH document's manifest does: both FAIL, and both name
-    // the quarantined jobs.
+    // the quarantined jobs. Neither records checkpoint writes, so
+    // both skip the checkpoint findings.
     const std::string dir = scratchDir("doctor_trace");
     const std::string trace = dir + "/trace.json";
     const RunOutcome bench = run(
@@ -513,6 +521,10 @@ TEST(DoctorExec, FlagsQuarantinedJobsInTheTraceAsInBenchJson)
                                "b6/SS/PriSM-H)"),
                   std::string::npos)
             << input << ": " << doc.out;
+        for (const char *check :
+             {"[SKIP] exec.torn_writes --", "[SKIP] exec.checkpoint --"})
+            EXPECT_NE(doc.out.find(check), std::string::npos)
+                << input << ": " << doc.out;
     }
     std::filesystem::remove_all(dir);
 }

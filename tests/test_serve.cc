@@ -256,32 +256,70 @@ TEST(ShardedStore, GhostMembershipMatchesLastEvictions)
 
 TEST(ShardedStoreParallelEvict, PlannedEvictionMatchesEvictOneFrom)
 {
-    // Twin stores see the same puts and gets; one evicts by planning
-    // a draw sequence and executing it per shard on a pool, the other
-    // by one evictOneFrom per draw. Small ghost rings wrap, and
-    // tenant 2 only writes in the first round, so it runs dry.
+    // Triplet stores see the same puts and gets; one evicts by
+    // planning a draw sequence and executing it per shard on a pool,
+    // one plans the same way from the tail records its shards took
+    // under their locks, as the engine's apply tasks do, and the
+    // third by one evictOneFrom per draw. Small ghost rings wrap,
+    // and tenant 2 only writes in the first round, so it runs dry.
+    // The draw counts vary by round, so each record (as deep as the
+    // previous plan's count) is shorter than, equal to or longer
+    // than what the plan takes from it; some rounds get and put on
+    // a shard between its walk and the plan.
     StoreConfig cfg;
     cfg.shards = 8;
     cfg.tenants = 3;
     cfg.ghostPerTenant = 4;
     ShardedStore planned(cfg);
+    ShardedStore walked(cfg);
     ShardedStore sequential(cfg);
+    ShardedStore *const stores[] = {&planned, &walked, &sequential};
     ThreadPool pool(4);
     Rng rng(2012);
     constexpr std::uint64_t kKeys = 400;
+    constexpr std::uint32_t kDraws[] = {250, 250, 120, 380, 380, 200,
+                                        250, 90,  300, 300, 150, 250};
     std::uint32_t dry_draws = 0;
+    // Per (shard, tenant): the walk depth (the count of the shard's
+    // latest executed plan) and the count planned this round.
+    std::vector<std::uint32_t> depth(cfg.shards * cfg.tenants, 0);
+    std::vector<std::uint32_t> taken(depth.size(), 0);
+    std::uint32_t shorter = 0, equal = 0, longer = 0;
 
     const auto expectSameKeys = [&] {
         for (std::uint32_t t = 0; t < cfg.tenants; ++t)
             for (std::uint64_t key = 0; key < kKeys; ++key) {
                 const auto a = planned.get(t, key);
+                const auto w = walked.get(t, key);
                 const auto b = sequential.get(t, key);
                 ASSERT_EQ(a.hit, b.hit) << t << "/" << key;
                 ASSERT_EQ(a.shadowHit, b.shadowHit) << t << "/" << key;
+                ASSERT_EQ(w.hit, b.hit) << t << "/" << key;
+                ASSERT_EQ(w.shadowHit, b.shadowHit) << t << "/" << key;
             }
     };
+    // Plan tenant @p d in @p store; the shard the plan landed in.
+    const auto planIn = [&](ShardedStore &store, std::uint32_t d,
+                            std::uint64_t &bytes) {
+        std::vector<std::uint32_t> before(store.shardCount());
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh)
+            before[sh] = store.plannedEvictions(sh);
+        bytes = store.planEviction(d);
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh)
+            if (store.plannedEvictions(sh) != before[sh])
+                return sh;
+        return ~0u;
+    };
+    const auto execute = [&pool](ShardedStore &store) {
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh)
+            if (store.plannedEvictions(sh) != 0)
+                pool.submit([&store, sh] { store.evictPlanned(sh); });
+        pool.wait();
+        for (std::uint32_t sh = 0; sh < store.shardCount(); ++sh)
+            EXPECT_EQ(store.plannedEvictions(sh), 0u);
+    };
 
-    for (std::uint32_t round = 0; round < 12; ++round) {
+    for (std::uint32_t round = 0; round < std::size(kDraws); ++round) {
         for (std::uint32_t op = 0; op < 600; ++op) {
             auto t = static_cast<std::uint32_t>(rng.below(3));
             if (t == 2 && round > 0)
@@ -290,49 +328,118 @@ TEST(ShardedStoreParallelEvict, PlannedEvictionMatchesEvictOneFrom)
             if (rng.chance(0.7)) {
                 const auto value = bytesOf(
                     static_cast<std::uint32_t>(1 + rng.below(64)), 7);
-                planned.put(t, key, value);
-                sequential.put(t, key, value);
+                for (ShardedStore *store : stores)
+                    store->put(t, key, value);
             } else {
-                ASSERT_EQ(planned.get(t, key).hit,
-                          sequential.get(t, key).hit);
+                const bool hit = sequential.get(t, key).hit;
+                ASSERT_EQ(planned.get(t, key).hit, hit);
+                ASSERT_EQ(walked.get(t, key).hit, hit);
             }
         }
 
-        std::vector<std::uint32_t> draws(250);
+        for (std::uint32_t sh = 0; sh < walked.shardCount(); ++sh)
+            walked.lockShard(sh).recordTails();
+        std::vector<bool> meddled(cfg.shards, false);
+        if (round % 3 == 1) {
+            // Gets that reorder one shard's tenant-0 list, puts that
+            // resize tenant-1 objects in another, and puts through a
+            // shard lock taken after its walk discard the records
+            // of their shards.
+            const auto value = bytesOf(70, 3);
+            const std::uint32_t get_shard =
+                walked.shardOf(0, rng.below(kKeys));
+            const std::uint32_t put_shard =
+                walked.shardOf(1, rng.below(kKeys));
+            const std::uint32_t lock_shard =
+                walked.shardOf(0, rng.below(kKeys));
+            for (std::uint64_t key = 0; key < kKeys; ++key)
+                for (ShardedStore *store : stores) {
+                    if (walked.shardOf(0, key) == get_shard)
+                        store->get(0, key);
+                    if (walked.shardOf(1, key) == put_shard)
+                        store->put(1, key, value);
+                }
+            ShardedStore::ShardLock lock = walked.lockShard(lock_shard);
+            lock.recordTails();
+            for (std::uint64_t key = 0; key < kKeys; key += 3)
+                if (walked.shardOf(0, key) == lock_shard) {
+                    lock.put(0, key, value);
+                    planned.put(0, key, value);
+                    sequential.put(0, key, value);
+                }
+            meddled[get_shard] = meddled[put_shard] = true;
+            meddled[lock_shard] = true;
+        }
+
+        std::vector<std::uint32_t> draws(kDraws[round]);
         for (std::uint32_t &d : draws)
             d = static_cast<std::uint32_t>(rng.below(3));
         std::vector<std::uint64_t> plan_bytes;
-        for (const std::uint32_t d : draws)
-            plan_bytes.push_back(planned.planEviction(d));
-        for (std::uint32_t sh = 0; sh < planned.shardCount(); ++sh)
-            if (planned.plannedEvictions(sh) != 0)
-                pool.submit([&planned, sh] { planned.evictPlanned(sh); });
-        pool.wait();
-        for (std::uint32_t sh = 0; sh < planned.shardCount(); ++sh)
-            EXPECT_EQ(planned.plannedEvictions(sh), 0u);
+        std::fill(taken.begin(), taken.end(), 0);
+        for (const std::uint32_t d : draws) {
+            std::uint64_t bytes = 0, walk_bytes = 0;
+            const std::uint32_t sh = planIn(planned, d, bytes);
+            ASSERT_EQ(planIn(walked, d, walk_bytes), sh)
+                << "round " << round;
+            ASSERT_EQ(walk_bytes, bytes) << "round " << round;
+            plan_bytes.push_back(bytes);
+            if (sh != ~0u)
+                ++taken[sh * cfg.tenants + d];
+        }
+        for (std::uint32_t sh = 0; sh < cfg.shards; ++sh) {
+            if (walked.plannedEvictions(sh) == 0)
+                continue; // not executed: its depths stay
+            for (std::uint32_t t = 0; t < cfg.tenants; ++t) {
+                std::uint32_t &d = depth[sh * cfg.tenants + t];
+                const std::uint32_t n = taken[sh * cfg.tenants + t];
+                if (!meddled[sh] && d > 0) {
+                    shorter += d < n ? 1 : 0;
+                    equal += d == n ? 1 : 0;
+                    longer += d > n ? 1 : 0;
+                }
+                d = n;
+            }
+        }
+        execute(planned);
+        execute(walked);
 
         for (std::size_t i = 0; i < draws.size(); ++i) {
             ASSERT_EQ(plan_bytes[i], sequential.evictOneFrom(draws[i]))
                 << "round " << round << " draw " << i;
             dry_draws += plan_bytes[i] == 0 ? 1 : 0;
         }
-        for (std::uint32_t t = 0; t < cfg.tenants; ++t)
-            ASSERT_EQ(planned.tenantBytes(t), sequential.tenantBytes(t));
-        ASSERT_EQ(planned.totalBytes(), sequential.totalBytes());
-        ASSERT_EQ(planned.objectCount(), sequential.objectCount());
+        for (const ShardedStore *store : {&planned, &walked}) {
+            for (std::uint32_t t = 0; t < cfg.tenants; ++t) {
+                ASSERT_EQ(store->tenantBytes(t),
+                          sequential.tenantBytes(t));
+                ASSERT_EQ(store->hits(t), sequential.hits(t));
+                ASSERT_EQ(store->shadowHits(t),
+                          sequential.shadowHits(t));
+            }
+            ASSERT_EQ(store->totalBytes(), sequential.totalBytes());
+            ASSERT_EQ(store->objectCount(), sequential.objectCount());
+        }
         expectSameKeys();
     }
     EXPECT_GT(dry_draws, 0u) << "tenant 2 never ran dry";
+    EXPECT_GT(shorter, 0u);
+    EXPECT_GT(equal, 0u);
+    EXPECT_GT(longer, 0u);
 
-    // Later evictions drain both stores in the same order.
+    // Later evictions drain the stores in the same order; the walked
+    // one starts from fresh records, which each eviction discards.
+    for (std::uint32_t sh = 0; sh < walked.shardCount(); ++sh)
+        walked.lockShard(sh).recordTails();
     for (std::uint32_t t = 0; t < cfg.tenants; ++t)
         for (;;) {
             const std::uint64_t freed = planned.evictOneFrom(t);
+            ASSERT_EQ(walked.evictOneFrom(t), freed);
             ASSERT_EQ(freed, sequential.evictOneFrom(t));
             if (freed == 0)
                 break;
         }
     EXPECT_EQ(planned.objectCount(), 0u);
+    EXPECT_EQ(walked.objectCount(), 0u);
     expectSameKeys();
 }
 
@@ -1074,6 +1181,17 @@ TEST(ServeEngineSecondsDeathTest, WallClockRunRefusesSecondsTheClockCannotHold)
                     "seconds must be finite")
             << seconds;
     }
+}
+
+TEST(ServeEngineDeathTest, RefusesRoundsTooLargeToIndex)
+{
+    // The engine indexes a round's requests with 32 bits; the check
+    // comes before any round buffer is allocated.
+    ServeConfig config = tinyEngine();
+    config.streams = 1u << 16;
+    config.batch = (1u << 16) + 1;
+    EXPECT_EXIT(ServeEngine{config}, testing::ExitedWithCode(1),
+                "32-bit indexable");
 }
 
 TEST(ServeEngineSeconds, BudgetedRunIgnoresSeconds)

@@ -39,11 +39,13 @@ echo "== sanitizer gate =="
 # suites reach the per-shard parallel eviction stage at up to 8
 # threads, after the sequential victim plan. Then ASan + UBSan over
 # the fault-injection suite (injected occupancy faults push counters
-# to the edge of their range), the serve units and the simulator's
-# step loop (the core scheduler's winner tree, each core's
-# look-ahead access and the prefetch addresses computed from it),
-# halting on the first undefined-behaviour report. Each tree builds
-# only what it runs; they sit next to the main build directory.
+# to the edge of their range), the serve units, the serve engine's
+# determinism runs (the stream-major request indices and the tail
+# records the plan reads) and the simulator's step loop (the core
+# scheduler's winner tree, each core's look-ahead access and the
+# prefetch addresses computed from it), halting on the first
+# undefined-behaviour report. Each tree builds only what it runs;
+# they sit next to the main build directory.
 tsan_build="$build-tsan"
 # shellcheck disable=SC2086
 cmake -B "$tsan_build" -S "$repo" -DPRISM_TSAN=ON ${CMAKE_ARGS:-}
@@ -53,9 +55,10 @@ asan_build="$build-asan"
 # shellcheck disable=SC2086
 cmake -B "$asan_build" -S "$repo" -DPRISM_SANITIZE=ON ${CMAKE_ARGS:-}
 cmake --build "$asan_build" -j --target test_fault_injection test_serve \
-    test_system_integration test_step_loop_golden test_clock_tree
-for t in test_fault_injection test_serve test_system_integration \
-    test_step_loop_golden test_clock_tree; do
+    test_serve_determinism test_system_integration \
+    test_step_loop_golden test_clock_tree
+for t in test_fault_injection test_serve test_serve_determinism \
+    test_system_integration test_step_loop_golden test_clock_tree; do
     UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/$t"
 done
 
@@ -131,6 +134,21 @@ grep -q "serve.victim_match" "$serve_out/verdict.txt" || {
     --quiet --threads 4 --metrics-out "$serve_out/serve_t4.json"
 cmp "$serve_out/serve.json" "$serve_out/serve_t4.json" || {
     echo "serve gate: document differs across --threads" >&2
+    exit 1
+}
+# The same at perfbench serve_write's shape (Zipf 0.8, 50% puts,
+# 512-2048 B values): about one eviction per two ops, so each round's
+# plan reaches past the LRU tails its shard tasks recorded.
+write_tenant="keys=50000,zipf=0.8,get=0.5,vmin=512,vmax=2048"
+for threads in 1 4; do
+    "$build/tools/prism_serve" --tenant "$write_tenant" \
+        --tenant "$write_tenant" --tenant "$write_tenant" \
+        --tenant "$write_tenant" --capacity-mb 8 --ops 600000 \
+        --no-timing --quiet --threads "$threads" \
+        --metrics-out "$serve_out/write_t$threads.json"
+done
+cmp "$serve_out/write_t1.json" "$serve_out/write_t4.json" || {
+    echo "serve gate: write-mix document differs across --threads" >&2
     exit 1
 }
 
