@@ -181,7 +181,6 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
 {
     using namespace prism::analysis;
 
-    const DoctorThresholds thresholds;
     std::vector<Verdict> verdicts;
     verdicts.reserve(spec.jobs.size());
     for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
@@ -209,7 +208,7 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
         s.name = job.id; // attachRunResult does not touch the name
         if (job.scheme == SchemeKind::PrismQ)
             s.qosTargetFrac = job.options.qosTargetFrac;
-        verdicts.push_back(analyze(s, thresholds));
+        verdicts.push_back(analyze(s));
     }
 
     const bool exec_noteworthy = outcome.noteworthy() ||
@@ -234,8 +233,7 @@ doctorSweep(const SweepSpec &spec, const SweepOutcome &outcome,
         }
         const Status st = writeFileAtomic(
             options.doctorJsonPath, [&](std::ostream &file) {
-                writeDoctorDocument(file, "sweep", verdicts,
-                                    thresholds);
+                writeDoctorDocument(file, "sweep", verdicts);
             });
         if (!st.ok()) {
             std::cerr << "prism_bench: cannot write "
@@ -648,7 +646,6 @@ runFigure(const Figure &fig, const FigureRunOptions &options)
         exec_series.tornWrites =
             ckpt_writer ? ckpt_writer->tornWrites() : 0;
         exec_series.checkpointCorrupt = ckpt_corrupt;
-        exec_series.checkpointCounters = true;
         for (std::size_t i = 0; i < outcome.reports.size(); ++i)
             if (!outcome.reports[i].succeeded())
                 exec_series.failedIds.push_back(spec.jobs[i].id);

@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <ostream>
 
+#include "telemetry/window.hh"
+
 namespace prism::analysis
 {
 
@@ -37,6 +39,58 @@ Verdict::count(FindingStatus status) const
 
 namespace
 {
+
+// Decision bounds, calibrated on the paper's evaluation machine.
+// writeDoctorDocument() echoes each in the "thresholds" section.
+
+/** max_i |C_i − T_i| at or below this counts as converged. */
+constexpr double kConvergedError = 0.10;
+/** Steady-state residual (mean of last quarter) bounds. */
+constexpr double kResidualWarn = 0.15;
+constexpr double kResidualFail = 0.30;
+/** Late/early error ratio at or above this is "not decaying". */
+constexpr double kDecayWarnRatio = 1.0;
+
+/** Mean peak-to-peak E_i swing over the last half. */
+constexpr double kOscAmplitudeWarn = 0.30;
+/** ΔE_i sign-flip rate over the last half. */
+constexpr double kSignFlipWarn = 0.6;
+/** Steps smaller than this do not count as oscillation. */
+constexpr double kFlipAmplitudeFloor = 0.01;
+
+/** |Σ E_i − 1| bounds (per recorded interval). */
+constexpr double kSumEWarn = 1e-6;
+constexpr double kSumEFail = 1e-3;
+/** Σ C_i may exceed 1 by at most this. */
+constexpr double kSumCOverflow = 1e-6;
+/** Distribution repairs per interval worth warning about. */
+constexpr double kRenormRateWarn = 0.1;
+
+/** Degraded-interval fraction bounds: any degraded interval warns. */
+constexpr double kDegradedWarnFrac = 0.0;
+constexpr double kDegradedFailFrac = 0.5;
+
+/** Slack under the QoS IPC floor before failing. */
+constexpr double kQosSlack = 0.02;
+/** Fairness (min/max normalised progress) warning floor. */
+constexpr double kFairnessWarn = 0.35;
+
+// Serving-mode bounds (serve snapshots only). The slowdown model's
+// miss penalty is the window's, telemetry::kMissPenalty.
+
+/** Slack under a tenant's hit-ratio SLO floor before failing. */
+constexpr double kServeSloSlack = 0.005;
+/** Max/min tenant slowdown ratio worth warning about. */
+constexpr double kFairSlowdownWarn = 4.0;
+/** Relative EWMA drift (miss rate / fair slowdown) of the latest
+ *  interval worth warning about — the online doctor's "workload
+ *  shifted" signal (docs/OBSERVABILITY.md). */
+constexpr double kDriftWarnFrac = 0.5;
+
+/** Way-mask plane (PriSM-WM runs only): mean |alloc_i - T_i*ways|
+ *  above this many ways warns, since the way-mask backend is then
+ *  too coarse for the targets it is asked to enforce. */
+constexpr double kWayQuantWarn = 1.0;
 
 /** Severity order for aggregation (Skip never dominates). */
 int
@@ -94,8 +148,7 @@ meanError(const RunSeries &s, std::size_t lo, std::size_t hi)
 class Checker
 {
   public:
-    Checker(const RunSeries &s, const DoctorThresholds &t)
-        : s_(s), t_(t)
+    explicit Checker(const RunSeries &s) : s_(s)
     {
         v_.run = s.name;
         v_.backend = s.plane;
@@ -124,7 +177,6 @@ class Checker
                  FindingStatus level, const std::string &what);
 
     const RunSeries &s_;
-    const DoctorThresholds &t_;
     Verdict v_;
 };
 
@@ -174,7 +226,7 @@ Checker::tracking()
     // First interval where the tracking error stays within bound.
     std::size_t converged = n;
     for (std::size_t t = 0; t < n; ++t) {
-        if (maxTrackingError(s_, t) <= t_.convergedError) {
+        if (maxTrackingError(s_, t) <= kConvergedError) {
             converged = t;
             break;
         }
@@ -183,8 +235,8 @@ Checker::tracking()
         Finding &f = addValue(
             "tracking.converge_interval", FindingStatus::Pass,
             static_cast<double>(s_.interval[converged]),
-            t_.convergedError);
-        f.detail = "max|C-T| first within " + fmt(t_.convergedError) +
+            kConvergedError);
+        f.detail = "max|C-T| first within " + fmt(kConvergedError) +
                    " at interval " +
                    std::to_string(s_.interval[converged]);
     } else {
@@ -192,7 +244,7 @@ Checker::tracking()
                                         : FindingStatus::Warn;
         Finding &f = addValue("tracking.converge_interval", st,
                               maxTrackingError(s_, n - 1),
-                              t_.convergedError);
+                              kConvergedError);
         f.detail = "never converged: final max|C-T| " +
                    fmt(maxTrackingError(s_, n - 1)) + " over " +
                    std::to_string(n) + " intervals";
@@ -202,11 +254,11 @@ Checker::tracking()
     const std::size_t tail = std::max<std::size_t>(1, n / 4);
     const double residual = meanError(s_, n - tail, n);
     FindingStatus rst = FindingStatus::Pass;
-    double bound = t_.residualWarn;
-    if (residual > t_.residualFail) {
+    double bound = kResidualWarn;
+    if (residual > kResidualFail) {
         rst = FindingStatus::Fail;
-        bound = t_.residualFail;
-    } else if (residual > t_.residualWarn) {
+        bound = kResidualFail;
+    } else if (residual > kResidualWarn) {
         rst = FindingStatus::Warn;
     }
     addValue("tracking.residual", rst, residual, bound).detail =
@@ -217,16 +269,16 @@ Checker::tracking()
     const std::size_t quart = std::max<std::size_t>(1, n / 4);
     const double early = meanError(s_, 0, quart);
     const double late = meanError(s_, n - quart, n);
-    if (early <= t_.convergedError) {
+    if (early <= kConvergedError) {
         Finding &f = addValue("tracking.decay", FindingStatus::Pass,
-                              0.0, t_.decayWarnRatio);
+                              0.0, kDecayWarnRatio);
         f.detail = "already within tracking bound from the start";
     } else {
         const double ratio = late / early;
-        const FindingStatus st = ratio >= t_.decayWarnRatio
+        const FindingStatus st = ratio >= kDecayWarnRatio
                                      ? FindingStatus::Warn
                                      : FindingStatus::Pass;
-        addValue("tracking.decay", st, ratio, t_.decayWarnRatio)
+        addValue("tracking.decay", st, ratio, kDecayWarnRatio)
             .detail = "late/early error ratio " + fmt(ratio) +
                       " (early " + fmt(early) + ", late " + fmt(late) +
                       ")";
@@ -267,7 +319,7 @@ Checker::stability()
                                         ? s_.evProb[t - 1][c]
                                         : 0.0;
                 const double delta = e - prev;
-                if (std::abs(delta) > t_.flipAmplitudeFloor) {
+                if (std::abs(delta) > kFlipAmplitudeFloor) {
                     ++steps;
                     if (prev_delta != 0.0 &&
                         std::signbit(delta) !=
@@ -281,11 +333,11 @@ Checker::stability()
     }
     const double amplitude =
         cores ? amp_sum / static_cast<double>(cores) : 0.0;
-    const FindingStatus ast = amplitude > t_.oscAmplitudeWarn
+    const FindingStatus ast = amplitude > kOscAmplitudeWarn
                                   ? FindingStatus::Warn
                                   : FindingStatus::Pass;
     addValue("stability.osc_amplitude", ast, amplitude,
-             t_.oscAmplitudeWarn)
+             kOscAmplitudeWarn)
         .detail = "mean peak-to-peak E_i swing " + fmt(amplitude) +
                   " over the last " + std::to_string(n - lo) +
                   " intervals";
@@ -294,10 +346,10 @@ Checker::stability()
         steps ? static_cast<double>(flips) /
                     static_cast<double>(steps)
               : 0.0;
-    const FindingStatus fst = flip_rate > t_.signFlipWarn
+    const FindingStatus fst = flip_rate > kSignFlipWarn
                                   ? FindingStatus::Warn
                                   : FindingStatus::Pass;
-    addValue("stability.sign_flips", fst, flip_rate, t_.signFlipWarn)
+    addValue("stability.sign_flips", fst, flip_rate, kSignFlipWarn)
         .detail = std::to_string(flips) + " direction changes in " +
                   std::to_string(steps) + " significant E_i steps";
 
@@ -339,11 +391,11 @@ Checker::invariants()
             max_e_err = std::max(max_e_err, std::abs(sum - 1.0));
         }
         FindingStatus est = FindingStatus::Pass;
-        double bound = t_.sumEWarn;
-        if (max_e_err > t_.sumEFail) {
+        double bound = kSumEWarn;
+        if (max_e_err > kSumEFail) {
             est = FindingStatus::Fail;
-            bound = t_.sumEFail;
-        } else if (max_e_err > t_.sumEWarn) {
+            bound = kSumEFail;
+        } else if (max_e_err > kSumEWarn) {
             est = FindingStatus::Warn;
         }
         addValue("invariants.sum_e", est, max_e_err, bound).detail =
@@ -358,10 +410,10 @@ Checker::invariants()
             max_c_over = std::max(max_c_over, sum - 1.0);
         }
         max_c_over = std::max(max_c_over, 0.0);
-        const FindingStatus cst = max_c_over > t_.sumCOverflow
+        const FindingStatus cst = max_c_over > kSumCOverflow
                                       ? FindingStatus::Fail
                                       : FindingStatus::Pass;
-        addValue("invariants.sum_c", cst, max_c_over, t_.sumCOverflow)
+        addValue("invariants.sum_c", cst, max_c_over, kSumCOverflow)
             .detail = "max overflow of sum(C_i) above capacity";
     }
 
@@ -371,10 +423,10 @@ Checker::invariants()
     }
     const double rate = static_cast<double>(s_.distributionRepairs) /
                         static_cast<double>(s_.intervals);
-    const FindingStatus rst = rate > t_.renormRateWarn
+    const FindingStatus rst = rate > kRenormRateWarn
                                   ? FindingStatus::Warn
                                   : FindingStatus::Pass;
-    addValue("invariants.renorm_rate", rst, rate, t_.renormRateWarn)
+    addValue("invariants.renorm_rate", rst, rate, kRenormRateWarn)
         .detail = std::to_string(s_.distributionRepairs) +
                   " distribution repairs in " +
                   std::to_string(s_.intervals) + " intervals";
@@ -387,7 +439,7 @@ Checker::attainment()
         s_.qosTargetFrac > 0.0 && !s_.ipc.empty() &&
         s_.ipcStandalone[0] > 0.0) {
         const double attained = s_.ipc[0] / s_.ipcStandalone[0];
-        const double floor = s_.qosTargetFrac - t_.qosSlack;
+        const double floor = s_.qosTargetFrac - kQosSlack;
         const FindingStatus st = attained < floor
                                      ? FindingStatus::Fail
                                      : FindingStatus::Pass;
@@ -416,10 +468,10 @@ Checker::attainment()
             first = false;
         }
         const double balance = mx > 0.0 ? mn / mx : 0.0;
-        const FindingStatus st = balance < t_.fairnessWarn
+        const FindingStatus st = balance < kFairnessWarn
                                      ? FindingStatus::Warn
                                      : FindingStatus::Pass;
-        addValue("fairness.attainment", st, balance, t_.fairnessWarn)
+        addValue("fairness.attainment", st, balance, kFairnessWarn)
             .detail = "min/max normalised progress ratio " +
                       fmt(balance);
     } else {
@@ -465,11 +517,11 @@ Checker::serve()
         skip("serve.slo_attainment",
              "no tenant declares a hit-ratio SLO floor");
     } else {
-        const FindingStatus st = worst_margin < -t_.serveSloSlack
+        const FindingStatus st = worst_margin < -kServeSloSlack
                                      ? FindingStatus::Fail
                                      : FindingStatus::Pass;
         addValue("serve.slo_attainment", st, worst_margin,
-                 -t_.serveSloSlack)
+                 -kServeSloSlack)
             .detail = "worst SLO margin " + fmt(worst_margin) +
                       " (tenant " + std::to_string(worst_tenant) +
                       " hit ratio " +
@@ -478,10 +530,11 @@ Checker::serve()
                       fmt(s_.serveSloFloor[worst_tenant]) + ")";
     }
 
-    // Fair slowdown: a tenant's slowdown under sharing is modelled
-    // as 1 + missRatio * (penalty - 1); the max/min ratio across
-    // tenants is the serving analogue of the paper's fairness
-    // metric (1 = perfectly even service degradation).
+    // Fair slowdown: a tenant's slowdown under sharing is the
+    // window's model (telemetry::fairSlowdown of its miss ratio);
+    // the max/min ratio across tenants is the serving analogue of
+    // the paper's fairness metric (1 = perfectly even service
+    // degradation).
     if (tenants < 2) {
         skip("serve.fair_slowdown",
              "fewer than two tenants to compare");
@@ -490,21 +543,20 @@ Checker::serve()
         bool first = true;
         for (const double hit_ratio : s_.serveHitRatio) {
             const double slowdown =
-                1.0 + (1.0 - hit_ratio) *
-                          (t_.serveMissPenalty - 1.0);
+                telemetry::fairSlowdown(1.0 - hit_ratio);
             mn = first ? slowdown : std::min(mn, slowdown);
             mx = first ? slowdown : std::max(mx, slowdown);
             first = false;
         }
         const double ratio = mn > 0.0 ? mx / mn : 0.0;
-        const FindingStatus st = ratio > t_.fairSlowdownWarn
+        const FindingStatus st = ratio > kFairSlowdownWarn
                                      ? FindingStatus::Warn
                                      : FindingStatus::Pass;
         addValue("serve.fair_slowdown", st, ratio,
-                 t_.fairSlowdownWarn)
+                 kFairSlowdownWarn)
             .detail = "max/min tenant slowdown ratio " +
                       fmt(ratio) + " at modelled miss penalty " +
-                      fmt(t_.serveMissPenalty) + "x";
+                      fmt(telemetry::kMissPenalty) + "x";
     }
 
     // Victim match: realised per-tenant eviction counts should be
@@ -595,19 +647,19 @@ Checker::drift()
 
     std::size_t worst_t = 0;
     const double miss_drift = worstDrift(s_.driftMissRate, worst_t);
-    FindingStatus st = miss_drift > t_.driftWarnFrac
+    FindingStatus st = miss_drift > kDriftWarnFrac
                            ? FindingStatus::Warn
                            : FindingStatus::Pass;
-    addValue("drift.miss_rate", st, miss_drift, t_.driftWarnFrac)
+    addValue("drift.miss_rate", st, miss_drift, kDriftWarnFrac)
         .detail = "max relative EWMA miss-rate drift " +
                   fmt(miss_drift) + " (tenant " +
                   std::to_string(worst_t) + ")";
 
     const double slow_drift = worstDrift(s_.driftSlowdown, worst_t);
-    st = slow_drift > t_.driftWarnFrac ? FindingStatus::Warn
+    st = slow_drift > kDriftWarnFrac ? FindingStatus::Warn
                                        : FindingStatus::Pass;
     addValue("drift.fair_slowdown", st, slow_drift,
-             t_.driftWarnFrac)
+             kDriftWarnFrac)
         .detail = "max relative EWMA slowdown drift " +
                   fmt(slow_drift) + " (tenant " +
                   std::to_string(worst_t) + ")";
@@ -630,11 +682,11 @@ Checker::analyzePlane()
              "no way-quantisation statistics in this input");
         return;
     }
-    const FindingStatus st = s_.wayQuantError > t_.wayQuantWarn
+    const FindingStatus st = s_.wayQuantError > kWayQuantWarn
                                  ? FindingStatus::Warn
                                  : FindingStatus::Pass;
     addValue("plane.way_quant_error", st, s_.wayQuantError,
-             t_.wayQuantWarn)
+             kWayQuantWarn)
         .detail = "mean |alloc_i - T_i*ways| of " +
                   fmt(s_.wayQuantError) +
                   " ways between the continuous targets and the "
@@ -676,11 +728,11 @@ Checker::robustness()
             static_cast<double>(s_.degradedIntervals) /
             static_cast<double>(s_.intervals);
         FindingStatus st = FindingStatus::Pass;
-        double bound = t_.degradedWarnFrac;
-        if (frac > t_.degradedFailFrac) {
+        double bound = kDegradedWarnFrac;
+        if (frac > kDegradedFailFrac) {
             st = FindingStatus::Fail;
-            bound = t_.degradedFailFrac;
-        } else if (frac > t_.degradedWarnFrac) {
+            bound = kDegradedFailFrac;
+        } else if (frac > kDegradedWarnFrac) {
             st = FindingStatus::Warn;
         }
         addValue("robustness.degraded", st, frac, bound).detail =
@@ -727,9 +779,9 @@ Checker::take()
 } // namespace
 
 Verdict
-analyze(const RunSeries &s, const DoctorThresholds &t)
+analyze(const RunSeries &s)
 {
-    return Checker(s, t).take();
+    return Checker(s).take();
 }
 
 Verdict
@@ -773,22 +825,31 @@ analyzeExec(const ExecSeries &s)
         quarantined.detail += " (" + ids + ")";
     }
 
-    counter("exec.skipped", s.skipped, FindingStatus::Warn,
-            "jobs skipped by shutdown request");
-    if (s.checkpointCounters) {
+    const auto unrecorded = [&v](const char *check,
+                                 const std::string &what) {
+        Finding f;
+        f.check = check;
+        f.status = FindingStatus::Skip;
+        f.detail = "the input does not record " + what;
+        v.findings.push_back(std::move(f));
+    };
+
+    // A sweep stopped by a signal writes no trace, and a trace's
+    // exec process holds no record of skipped jobs.
+    if (s.input == ExecInput::Trace)
+        unrecorded("exec.skipped", "skipped jobs");
+    else
+        counter("exec.skipped", s.skipped, FindingStatus::Warn,
+                "jobs skipped by shutdown request");
+    if (s.input == ExecInput::Live) {
         counter("exec.torn_writes", s.tornWrites, FindingStatus::Warn,
                 "torn checkpoint flushes injected");
         counter("exec.checkpoint", s.checkpointCorrupt,
                 FindingStatus::Fail,
                 "corrupt checkpoints discarded at resume");
     } else {
-        for (const char *check : {"exec.torn_writes", "exec.checkpoint"}) {
-            Finding f;
-            f.check = check;
-            f.status = FindingStatus::Skip;
-            f.detail = "the input does not record checkpoint writes";
-            v.findings.push_back(std::move(f));
-        }
+        for (const char *check : {"exec.torn_writes", "exec.checkpoint"})
+            unrecorded(check, "checkpoint writes");
     }
     // Trace inputs only: a resumed sweep's trace grades fewer jobs
     // than the sweep ran.
@@ -874,9 +935,16 @@ writeVerdictJson(JsonWriter &w, const Verdict &v)
     w.kv("run", v.run);
     w.kv("backend", v.backend);
     w.kv("overall", findingStatusName(v.overall));
+    writeFindingsJson(w, v.findings);
+    w.endObject();
+}
+
+void
+writeFindingsJson(JsonWriter &w, const std::vector<Finding> &findings)
+{
     w.key("findings");
     w.beginArray();
-    for (const Finding &f : v.findings) {
+    for (const Finding &f : findings) {
         w.beginObject();
         w.kv("check", f.check);
         w.kv("status", findingStatusName(f.status));
@@ -888,13 +956,11 @@ writeVerdictJson(JsonWriter &w, const Verdict &v)
         w.endObject();
     }
     w.endArray();
-    w.endObject();
 }
 
 void
 writeDoctorDocument(std::ostream &os, std::string_view source,
-                    const std::vector<Verdict> &jobs,
-                    const DoctorThresholds &t)
+                    const std::vector<Verdict> &jobs)
 {
     JsonWriter w(os);
     w.beginObject();
@@ -927,26 +993,26 @@ writeDoctorDocument(std::ostream &os, std::string_view source,
     w.endObject();
     w.key("thresholds");
     w.beginObject();
-    w.kv("converged_error", t.convergedError);
-    w.kv("residual_warn", t.residualWarn);
-    w.kv("residual_fail", t.residualFail);
-    w.kv("decay_warn_ratio", t.decayWarnRatio);
-    w.kv("osc_amplitude_warn", t.oscAmplitudeWarn);
-    w.kv("sign_flip_warn", t.signFlipWarn);
-    w.kv("flip_amplitude_floor", t.flipAmplitudeFloor);
-    w.kv("sum_e_warn", t.sumEWarn);
-    w.kv("sum_e_fail", t.sumEFail);
-    w.kv("sum_c_overflow", t.sumCOverflow);
-    w.kv("renorm_rate_warn", t.renormRateWarn);
-    w.kv("degraded_warn_frac", t.degradedWarnFrac);
-    w.kv("degraded_fail_frac", t.degradedFailFrac);
-    w.kv("qos_slack", t.qosSlack);
-    w.kv("fairness_warn", t.fairnessWarn);
-    w.kv("serve_slo_slack", t.serveSloSlack);
-    w.kv("serve_miss_penalty", t.serveMissPenalty);
-    w.kv("fair_slowdown_warn", t.fairSlowdownWarn);
-    w.kv("drift_warn_frac", t.driftWarnFrac);
-    w.kv("way_quant_warn", t.wayQuantWarn);
+    w.kv("converged_error", kConvergedError);
+    w.kv("residual_warn", kResidualWarn);
+    w.kv("residual_fail", kResidualFail);
+    w.kv("decay_warn_ratio", kDecayWarnRatio);
+    w.kv("osc_amplitude_warn", kOscAmplitudeWarn);
+    w.kv("sign_flip_warn", kSignFlipWarn);
+    w.kv("flip_amplitude_floor", kFlipAmplitudeFloor);
+    w.kv("sum_e_warn", kSumEWarn);
+    w.kv("sum_e_fail", kSumEFail);
+    w.kv("sum_c_overflow", kSumCOverflow);
+    w.kv("renorm_rate_warn", kRenormRateWarn);
+    w.kv("degraded_warn_frac", kDegradedWarnFrac);
+    w.kv("degraded_fail_frac", kDegradedFailFrac);
+    w.kv("qos_slack", kQosSlack);
+    w.kv("fairness_warn", kFairnessWarn);
+    w.kv("serve_slo_slack", kServeSloSlack);
+    w.kv("serve_miss_penalty", telemetry::kMissPenalty);
+    w.kv("fair_slowdown_warn", kFairSlowdownWarn);
+    w.kv("drift_warn_frac", kDriftWarnFrac);
+    w.kv("way_quant_warn", kWayQuantWarn);
     w.endObject();
     w.endObject();
     os << '\n';

@@ -63,72 +63,19 @@ struct Verdict
 };
 
 /**
- * Decision bounds for analyze(). Defaults are calibrated on the
- * paper's evaluation machine (docs/OBSERVABILITY.md lists them).
+ * Run every applicable check on @p s. The decision bounds are
+ * constants calibrated on the paper's evaluation machine
+ * (docs/OBSERVABILITY.md lists them).
  */
-struct DoctorThresholds
-{
-    /** max_i |C_i − T_i| at or below this counts as converged. */
-    double convergedError = 0.10;
-    /** Steady-state residual (mean of last quarter) bounds. */
-    double residualWarn = 0.15;
-    double residualFail = 0.30;
-    /** Late/early error ratio at or above this is "not decaying". */
-    double decayWarnRatio = 1.0;
-
-    /** Mean peak-to-peak E_i swing over the last half. */
-    double oscAmplitudeWarn = 0.30;
-    /** ΔE_i sign-flip rate over the last half. */
-    double signFlipWarn = 0.6;
-    /** Steps smaller than this do not count as oscillation. */
-    double flipAmplitudeFloor = 0.01;
-
-    /** |Σ E_i − 1| bounds (per recorded interval). */
-    double sumEWarn = 1e-6;
-    double sumEFail = 1e-3;
-    /** Σ C_i may exceed 1 by at most this. */
-    double sumCOverflow = 1e-6;
-    /** Distribution repairs per interval worth warning about. */
-    double renormRateWarn = 0.1;
-
-    /** Degraded-interval fraction bounds. */
-    double degradedWarnFrac = 0.0; // any degraded interval warns
-    double degradedFailFrac = 0.5;
-
-    /** Slack under the QoS IPC floor before failing. */
-    double qosSlack = 0.02;
-    /** Fairness (min/max normalised progress) warning floor. */
-    double fairnessWarn = 0.35;
-
-    // --- serving-mode bounds (serve snapshots only) -----------------
-    /** Slack under a tenant's hit-ratio SLO floor before failing. */
-    double serveSloSlack = 0.005;
-    /** Modelled miss penalty (backend fetch / hit cost) used to turn
-     *  per-tenant miss ratios into slowdowns. */
-    double serveMissPenalty = 25.0;
-    /** Max/min tenant slowdown ratio worth warning about. */
-    double fairSlowdownWarn = 4.0;
-    /** Relative EWMA drift (miss rate / fair slowdown) of the
-     *  latest interval worth warning about — the online doctor's
-     *  "workload shifted" signal (docs/OBSERVABILITY.md). */
-    double driftWarnFrac = 0.5;
-
-    // --- way-mask plane bounds (PriSM-WM runs only) -----------------
-    /** Mean |alloc_i - T_i*ways| above this many ways warns: the
-     *  way-mask backend is too coarse for the targets it is asked
-     *  to enforce. */
-    double wayQuantWarn = 1.0;
-};
-
-/** Run every applicable check on @p s. */
-Verdict analyze(const RunSeries &s, const DoctorThresholds &t = {});
+Verdict analyze(const RunSeries &s);
 
 /**
  * Sweep-execution health checks over the supervision manifest
  * (docs/RELIABILITY.md): retries and deadline timeouts WARN,
  * quarantined jobs and corrupt checkpoints FAIL, and a trace that
- * lacks checkpoint-restored jobs WARNs. The verdict's run
- * id is "exec"; callers append it to the per-job verdicts only when
+ * lacks checkpoint-restored jobs WARNs. The counters the input
+ * (ExecSeries::input) does not record SKIP. The verdict's run id is
+ * "exec"; callers append it to the per-job verdicts only when
  * something noteworthy happened, so clean runs keep emitting
  * byte-identical doctor documents.
  */
@@ -150,14 +97,17 @@ Verdict rollup(const std::vector<Verdict> &jobs);
 /** Serialise one verdict as a JSON object (no surrounding doc). */
 void writeVerdictJson(JsonWriter &w, const Verdict &v);
 
+/** Write the "findings" key and its array, as in a verdict. */
+void writeFindingsJson(JsonWriter &w,
+                       const std::vector<Finding> &findings);
+
 /**
  * Write the full `prism-doctor-v1` document: schema, @p source
  * ("run" | "stats" | "trace" | "bench" | "sweep" | "compare"), the
- * job verdicts, the roll-up and the thresholds used.
+ * job verdicts, the roll-up and the thresholds analyze() applies.
  */
 void writeDoctorDocument(std::ostream &os, std::string_view source,
-                         const std::vector<Verdict> &jobs,
-                         const DoctorThresholds &t);
+                         const std::vector<Verdict> &jobs);
 
 /** Human-readable health report for one verdict. */
 void printReport(std::ostream &os, const Verdict &v);

@@ -6,25 +6,29 @@
  * The offline pipeline grades a finished run (doctor.hh); a
  * long-running prism_serve instance would stay a black box until
  * shutdown. The observer closes that gap. It is the only producer of
- * prism-metrics-v1 snapshots (telemetry/exporter.hh), which it
- * writes atomically (tmp + fsync + rename), so a tailing reader such
- * as prism_top never observes a torn file.
+ * prism-metrics-v1 snapshots, which it renders straight from what it
+ * holds — its copy of the ServeConfig, the last ServeLiveState, the
+ * sliding window, the history once the run has ended, and the
+ * verdict when the online doctor is on — as JSON and as Prometheus
+ * text (snapshot_writer.cc). It writes them atomically (tmp + fsync
+ * + rename), so a tailing reader such as prism_top never observes a
+ * torn file.
  *
- * The observer grades only when it builds a snapshot. With the
- * online doctor on, building one renders it without a verdict,
- * parses that text back and runs analyze() on seriesFromMetricsJson
- * at the default DoctorThresholds. That is exactly what
- * `prism_doctor FILE` does with a written snapshot, so the verdict
- * embedded in every snapshot, periodic or final, is the offline one
- * on that snapshot's own text: same checks, same thresholds, same
- * verdict taxonomy, including the drift.* checks over the window's
- * EWMA statistics. The observer keeps no verdict between calls.
+ * The observer grades only when it renders a snapshot. With the
+ * online doctor on, rendering one first renders it without a
+ * verdict, parses that text back and runs analyze() on
+ * seriesFromMetricsJson. That is exactly what `prism_doctor FILE`
+ * does with a written snapshot, so the verdict embedded in every
+ * snapshot, periodic or final, is the offline one on that snapshot's
+ * own text: same checks, same thresholds, same verdict taxonomy,
+ * including the drift.* checks over the window's EWMA statistics.
+ * The observer keeps no verdict between calls.
  *
- * A snapshot built after the run ended carries the run's history, an
- * IntervalRecorder sized to ServeConfig::recorderCapacity that holds
- * every interval the run closed (up to that bound), and the doctor
- * grades those rows instead of the window's. The final snapshot is
- * therefore the serve run's whole-run document.
+ * A snapshot rendered after the run ended carries the run's history,
+ * an IntervalRecorder sized to ServeConfig::recorderCapacity that
+ * holds every interval the run closed (up to that bound), and the
+ * doctor grades those rows instead of the window's. The final
+ * snapshot is therefore the serve run's whole-run document.
  *
  * Everything is evaluated in the engine's sequential sections from
  * deterministic state, so verdicts — like the snapshots — are
@@ -35,12 +39,13 @@
 #define PRISM_ANALYSIS_ONLINE_DOCTOR_HH
 
 #include <cstdint>
+#include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "analysis/doctor.hh"
 #include "common/status.hh"
 #include "serve/serve_engine.hh"
-#include "telemetry/exporter.hh"
 #include "telemetry/window.hh"
 
 namespace prism::analysis
@@ -52,7 +57,7 @@ struct LiveObserverOptions
     /** Sliding-window capacity K in intervals. */
     std::size_t windowCapacity = 64;
 
-    /** Embed prism_doctor's verdict in every snapshot built. */
+    /** Embed prism_doctor's verdict in every snapshot rendered. */
     bool onlineDoctor = false;
 
     /** prism-metrics-v1 output; "" = none. */
@@ -88,14 +93,18 @@ class ServeLiveObserver final : public serve::ServeObserver
     Status flushFinal() const;
 
     /**
-     * Snapshot of the latest observed state; with the online doctor
-     * on, it embeds grade()'s verdict.
+     * Render the snapshot of the latest observed state as a
+     * prism-metrics-v1 document; with the online doctor on, it
+     * embeds grade()'s verdict.
      */
-    telemetry::MetricsSnapshot snapshot() const;
+    void writeJson(std::ostream &os) const;
+
+    /** The same snapshot in Prometheus text exposition format. */
+    void writePrometheus(std::ostream &os) const;
 
     /**
-     * prism_doctor's verdict on snapshot(): its rendering without a
-     * verdict, parsed back and analyzed at DoctorThresholds{}.
+     * prism_doctor's verdict on the snapshot: its rendering without
+     * a verdict, parsed back and analyzed.
      */
     Verdict grade() const;
 
@@ -106,10 +115,18 @@ class ServeLiveObserver final : public serve::ServeObserver
     }
 
   private:
-    /** snapshot() without the doctor section. */
-    telemetry::MetricsSnapshot ungraded() const;
+    /** grade() with the online doctor on; nothing otherwise. */
+    std::optional<Verdict> embeddedVerdict() const;
 
-    /** Write snapshot() to the configured outputs, if any. */
+    /** The snapshot's JSON, with a doctor section when @p verdict
+     *  holds one. */
+    void renderJson(std::ostream &os,
+                    const std::optional<Verdict> &verdict) const;
+    /** The snapshot's Prometheus text; the same @p verdict rule. */
+    void renderPrometheus(std::ostream &os,
+                          const std::optional<Verdict> &verdict) const;
+
+    /** Write the snapshot to the configured outputs, if any. */
     Status flush() const;
 
     serve::ServeConfig config_; ///< for SLO floors / policy / sizes

@@ -411,6 +411,7 @@ execSeriesFromBenchDoc(const JsonValue &doc, ExecSeries &out)
         return false;
 
     ExecSeries s;
+    s.input = ExecInput::Bench;
     s.jobs = doc.at("jobs").elements().size();
     s.completed = exec->at("completed").asU64();
     s.recovered = exec->at("recovered").asU64();
@@ -429,6 +430,7 @@ bool
 execSeriesFromTraceJson(const JsonValue &doc, ExecSeries &out)
 {
     ExecSeries s;
+    s.input = ExecInput::Trace;
     bool found = false;
     for (const JsonValue &ev : doc.at("traceEvents").elements()) {
         const std::string &name = ev.at("name").asString();

@@ -137,18 +137,26 @@ Status seriesFromTraceJson(const JsonValue &doc,
 Status seriesFromBenchJob(const JsonValue &job, RunSeries &out);
 
 /**
- * Read one snapshot from a parsed `prism-metrics-v1` document
- * (src/telemetry/exporter.hh). The snapshot maps tenants onto the
- * per-core series slots, so the tracking/stability/
- * invariant checks grade the tenant control loop unchanged, and the
- * serve-specific fields enable the serve.* checks (SLO attainment,
- * fair slowdown, victim match). The series rows come from the
- * snapshot's "history" section (the whole run; final snapshots
- * only) when present and from its sliding window otherwise; the
- * window's drift statistics enable the drift.* checks. A "source"
- * other than "serve" is an input error.
+ * Read one snapshot from a parsed `prism-metrics-v1` document, as
+ * ServeLiveObserver writes it (analysis/online_doctor.hh). The
+ * snapshot maps tenants onto the per-core series slots, so the
+ * tracking/stability/invariant checks grade the tenant control loop
+ * unchanged, and the serve-specific fields enable the serve.* checks
+ * (SLO attainment, fair slowdown, victim match). The series rows
+ * come from the snapshot's "history" section (the whole run; final
+ * snapshots only) when present and from its sliding window
+ * otherwise; the window's drift statistics enable the drift.*
+ * checks. A "source" other than "serve" is an input error.
  */
 Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);
+
+/** The input an ExecSeries was read from. */
+enum class ExecInput
+{
+    Live,  ///< the SweepOutcome itself: every counter
+    Bench, ///< a BENCH document: no checkpoint writes
+    Trace, ///< a sweep trace: no checkpoint writes, no skipped jobs
+};
 
 /**
  * Sweep-execution health: the retry/timeout/quarantine manifest the
@@ -159,6 +167,8 @@ Status seriesFromMetricsJson(const JsonValue &doc, RunSeries &out);
  */
 struct ExecSeries
 {
+    /** Which counters were recorded: analyzeExec() skips the rest. */
+    ExecInput input = ExecInput::Live;
     std::uint64_t jobs = 0;
     std::uint64_t completed = 0;
     std::uint64_t recovered = 0;
@@ -170,10 +180,6 @@ struct ExecSeries
     std::uint64_t tornWrites = 0;
     /** Corrupt / mismatched checkpoints discarded at resume. */
     std::uint64_t checkpointCorrupt = 0;
-    /** tornWrites and checkpointCorrupt were recorded: true on the
-     *  live path only, since BENCH documents and traces keep
-     *  neither. */
-    bool checkpointCounters = false;
     /** Ids of quarantined or skipped jobs, spec order. */
     std::vector<std::string> failedIds;
     /** Trace inputs only (the other inputs keep a record per failed

@@ -16,8 +16,9 @@
  *
  * IntervalSample is also the serve plane's interval row: the live
  * observer keeps its sliding window and the run's history in
- * recorders of these samples, and the prism-metrics-v1 exporter
- * renders both from them (telemetry/window.hh).
+ * recorders of these samples and renders both from them in its
+ * prism-metrics-v1 snapshots (telemetry/window.hh,
+ * analysis/online_doctor.hh).
  */
 
 #ifndef PRISM_TELEMETRY_INTERVAL_RECORDER_HH

@@ -185,7 +185,7 @@ class MetricsRegistry
      * Walk every metric in name order under the registry lock —
      * counters first, then gauges, then histograms. Null callbacks
      * skip that kind; wall-clock counters are always skipped. The
-     * exporter's Prometheus renderer lives on this.
+     * serve observer's Prometheus renderer lives on this.
      */
     void
     visit(const std::function<void(const std::string &,

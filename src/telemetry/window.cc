@@ -48,9 +48,9 @@ quantileSorted(const std::vector<double> &sorted, double q)
 } // namespace
 
 SlidingWindow::SlidingWindow(std::uint32_t tenants,
-                             WindowConfig config)
-    : tenants_(tenants), config_(config),
-      rows_(std::max<std::size_t>(1, config.capacity)), ewma_(tenants)
+                             std::size_t capacity)
+    : tenants_(tenants), rows_(std::max<std::size_t>(1, capacity)),
+      ewma_(tenants)
 {
 }
 
@@ -65,8 +65,7 @@ SlidingWindow::push(const IntervalSample &sample)
         const double acc = static_cast<double>(hits + misses);
         const double miss_rate =
             acc > 0.0 ? static_cast<double>(misses) / acc : 0.0;
-        const double slowdown =
-            1.0 + miss_rate * (config_.missPenalty - 1.0);
+        const double slowdown = fairSlowdown(miss_rate);
         Ewma &e = ewma_[t];
         if (!e.seeded) {
             e.seeded = true;
@@ -81,10 +80,10 @@ SlidingWindow::push(const IntervalSample &sample)
             e.slowdownDrift =
                 std::fabs(slowdown - e.slowdown) /
                 std::max(e.slowdown, kSlowdownDriftFloor);
-            e.missRate = config_.ewmaAlpha * miss_rate +
-                         (1.0 - config_.ewmaAlpha) * e.missRate;
-            e.slowdown = config_.ewmaAlpha * slowdown +
-                         (1.0 - config_.ewmaAlpha) * e.slowdown;
+            e.missRate = kEwmaAlpha * miss_rate +
+                         (1.0 - kEwmaAlpha) * e.missRate;
+            e.slowdown = kEwmaAlpha * slowdown +
+                         (1.0 - kEwmaAlpha) * e.slowdown;
         }
     }
     rows_.record(sample);
@@ -123,8 +122,7 @@ SlidingWindow::stats(std::uint32_t t) const
         const double hr =
             acc > 0.0 ? static_cast<double>(hits) / acc : 1.0;
         hit_ratios.push_back(hr);
-        slowdowns.push_back(
-            1.0 + (1.0 - hr) * (config_.missPenalty - 1.0));
+        slowdowns.push_back(fairSlowdown(1.0 - hr));
         if (i > 0)
             churn_sum += std::fabs(ev_prob - prev_ev_prob);
         prev_ev_prob = ev_prob;
@@ -133,8 +131,7 @@ SlidingWindow::stats(std::uint32_t t) const
     s.hitRatio =
         acc > 0.0 ? static_cast<double>(s.hits) / acc : 1.0;
     s.missRate = acc > 0.0 ? 1.0 - s.hitRatio : 0.0;
-    s.slowdown =
-        1.0 + (1.0 - s.hitRatio) * (config_.missPenalty - 1.0);
+    s.slowdown = fairSlowdown(1.0 - s.hitRatio);
     s.churn = rows_.size() > 1
                   ? churn_sum /
                         static_cast<double>(rows_.size() - 1)

@@ -15,8 +15,13 @@
  * Everything is a pure function of the pushed samples — no wall
  * clock, no allocation-order dependence — so a window populated from
  * the engine's sequential interval-close path is byte-deterministic
- * at any --threads value, and the exporter can golden-test its
- * snapshots like every other artifact.
+ * at any --threads value, and the observer's snapshots can be
+ * golden-tested like every other artifact.
+ *
+ * The model is fixed: the fair slowdown of a tenant missing at rate
+ * m is fairSlowdown(m) = 1 + m × (kMissPenalty − 1), the formula the
+ * doctor's serve.fair_slowdown check also calls, and the EWMA
+ * smoothing factor is kEwmaAlpha.
  *
  * Quantiles are exact over the retained window (sorted copy of at
  * most K values per query), not an approximate sketch: K is small
@@ -27,8 +32,9 @@
  * the EWMA state and stats(). The serve observer also keeps the
  * run's history, a plain IntervalRecorder of capacity
  * max(1, ServeConfig::recorderCapacity), which only a snapshot taken
- * after the run ended renders and the doctor then grades. Both
- * sections are written by one exporter routine.
+ * after the run ended renders and the doctor then grades. The
+ * observer writes both sections with one routine
+ * (analysis/online_doctor.hh).
  */
 
 #ifndef PRISM_TELEMETRY_WINDOW_HH
@@ -43,21 +49,18 @@
 namespace prism::telemetry
 {
 
-/** Tuning knobs for SlidingWindow. */
-struct WindowConfig
+/** Miss latency relative to a hit in the fair-slowdown model. */
+inline constexpr double kMissPenalty = 25.0;
+
+/** Smoothing factor of the miss-rate and slowdown EWMAs. */
+inline constexpr double kEwmaAlpha = 0.25;
+
+/** Modelled slowdown of a tenant that misses at @p missRatio. */
+constexpr double
+fairSlowdown(double missRatio)
 {
-    /** Intervals retained (K); at least 1. */
-    std::size_t capacity = 64;
-
-    /** EWMA smoothing factor in (0, 1]; 1 = no smoothing. */
-    double ewmaAlpha = 0.25;
-
-    /**
-     * Relative miss latency used by the fair-slowdown model
-     * (matches DoctorThresholds::serveMissPenalty).
-     */
-    double missPenalty = 25.0;
-};
+    return 1.0 + missRatio * (kMissPenalty - 1.0);
+}
 
 /** Per-tenant rollup over the retained window. */
 struct TenantWindowStats
@@ -95,7 +98,8 @@ struct TenantWindowStats
 class SlidingWindow
 {
   public:
-    SlidingWindow(std::uint32_t tenants, WindowConfig config = {});
+    /** Keeps the last @p capacity intervals (at least one). */
+    SlidingWindow(std::uint32_t tenants, std::size_t capacity);
 
     /**
      * Fold one closed interval into the window. The sample's
@@ -112,7 +116,6 @@ class SlidingWindow
 
   private:
     std::uint32_t tenants_;
-    WindowConfig config_;
     IntervalRecorder rows_;
 
     // EWMA state survives ring wrap: one entry per tenant.

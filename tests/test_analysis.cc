@@ -216,7 +216,7 @@ TEST(Doctor, DocumentIsValidJsonWithSchema)
 {
     const std::vector<Verdict> jobs = {analyze(convergingSeries())};
     std::ostringstream os;
-    writeDoctorDocument(os, "run", jobs, DoctorThresholds{});
+    writeDoctorDocument(os, "run", jobs);
 
     JsonValue doc;
     const Status st = parseJson(os.str(), doc);

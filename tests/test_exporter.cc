@@ -1,10 +1,13 @@
 /**
  * @file
- * Metrics exposition tests: the prism-metrics-v1 JSON layout (section
- * presence rules, byte-determinism, round-trip through the strict
- * parser), the Prometheus text rendering (label escaping, metric-name
- * sanitisation, cumulative histogram buckets), and the live
- * observer's --metrics-every cadence and atomic file flushing.
+ * Snapshot rendering tests over a ServeLiveObserver fed hand-built
+ * engine state: the prism-metrics-v1 JSON layout (the sections every
+ * snapshot has and those that depend on state, byte-determinism,
+ * round-trip through the strict parser, the embedded doctor
+ * section), the Prometheus text rendering (the policy-derived run
+ * label, metric-name sanitisation, cumulative histogram buckets),
+ * and the observer's --metrics-every cadence and atomic file
+ * flushing.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,12 +23,11 @@
 #include "analysis/online_doctor.hh"
 #include "common/json.hh"
 #include "serve/serve_engine.hh"
-#include "telemetry/exporter.hh"
 #include "telemetry/metrics_registry.hh"
-#include "telemetry/window.hh"
 
 using namespace prism;
 using namespace prism::telemetry;
+using analysis::ServeLiveObserver;
 
 namespace
 {
@@ -44,48 +47,53 @@ sampleOf(std::uint64_t interval, std::vector<std::uint64_t> hits,
     return s;
 }
 
-/** A fully populated two-tenant snapshot over @p win / @p reg. */
-MetricsSnapshot
-serveSnapshot(const SlidingWindow *win, const MetricsRegistry *reg)
+/** A two-tenant serve config under @p policy. */
+serve::ServeConfig
+twoTenants(char policy = 'H')
 {
-    MetricsSnapshot snap;
-    snap.run = "serve/PriSM-H";
-    snap.policy = "HitMax";
-    snap.round = 12;
-    snap.ops = 98304;
-    snap.intervals = 3;
-    snap.evictions = 100;
-    snap.recomputes = 3;
-    snap.occupancyBytes = 900;
-    snap.capacityBytes = 1000;
-    snap.objects = 40;
-    snap.tenants.resize(2);
-    snap.tenants[0].hits = 700;
-    snap.tenants[0].misses = 300;
-    snap.tenants[0].hitRatio = 0.7;
-    snap.tenants[0].target = 0.5;
-    snap.tenants[1].hits = 600;
-    snap.tenants[1].misses = 400;
-    snap.tenants[1].hitRatio = 0.6;
-    snap.tenants[1].target = 0.5;
-    snap.window = win;
-    snap.metrics = reg;
-    return snap;
+    serve::ServeConfig config;
+    config.tenants.resize(2);
+    config.policy = policy;
+    return config;
+}
+
+/** Engine state at round 12 of a two-tenant run, with @p reg as its
+ *  registry (may be null). */
+serve::ServeLiveState
+stateWith(std::shared_ptr<MetricsRegistry> reg)
+{
+    serve::ServeLiveState state;
+    state.rounds = 12;
+    state.ops = 98304;
+    state.intervals = 3;
+    state.evictions = 100;
+    state.recomputes = 3;
+    state.occupancyBytes = 900;
+    state.objects = 40;
+    state.tenants.resize(2);
+    state.tenants[0].hits = 700;
+    state.tenants[0].misses = 300;
+    state.tenants[1].hits = 600;
+    state.tenants[1].misses = 400;
+    state.targets = {0.5, 0.5};
+    state.evProbs = {0.5, 0.5};
+    state.metrics = std::move(reg);
+    return state;
 }
 
 std::string
-renderJson(const MetricsSnapshot &snap)
+renderJson(const ServeLiveObserver &observer)
 {
     std::ostringstream os;
-    writeJson(os, snap);
+    observer.writeJson(os);
     return os.str();
 }
 
 std::string
-renderProm(const MetricsSnapshot &snap)
+renderProm(const ServeLiveObserver &observer)
 {
     std::ostringstream os;
-    writePrometheus(os, snap);
+    observer.writePrometheus(os);
     return os.str();
 }
 
@@ -99,22 +107,20 @@ slurp(const std::filesystem::path &path)
 }
 
 /** An observer over a two-tenant serve config, driven by hand. */
-analysis::ServeLiveObserver
+ServeLiveObserver
 observerWith(const std::string &json_path, const std::string &prom_path,
              std::uint64_t every)
 {
-    serve::ServeConfig config;
-    config.tenants.resize(2);
     analysis::LiveObserverOptions options;
     options.metricsJsonPath = json_path;
     options.metricsPromPath = prom_path;
     options.metricsEvery = every;
-    return analysis::ServeLiveObserver(config, options);
+    return ServeLiveObserver(twoTenants(), options);
 }
 
 /** End round @p round on @p observer; whether that wrote @p path. */
 bool
-writesAt(analysis::ServeLiveObserver &observer, std::uint64_t round,
+writesAt(ServeLiveObserver &observer, std::uint64_t round,
          const std::filesystem::path &path)
 {
     std::filesystem::remove(path);
@@ -139,16 +145,15 @@ scratchDir(const std::string &name)
 
 TEST(MetricsExporterJson, RendersDeterministicallyAndParsesBack)
 {
-    SlidingWindow win(2);
+    auto reg = std::make_shared<MetricsRegistry>();
+    reg->counter("serve.gets").add(42);
+    ServeLiveObserver observer(twoTenants(), {});
     IntervalSample sample = sampleOf(1, {100, 200}, {50, 50}, {0.5, 0.5});
     sample.evictions = {10, 20};
-    win.push(sample);
-    MetricsRegistry reg;
-    reg.counter("serve.gets").add(42);
+    observer.onIntervalClosed(sample, sample.evictions, stateWith(reg));
 
-    const MetricsSnapshot snap = serveSnapshot(&win, &reg);
-    const std::string a = renderJson(snap);
-    const std::string b = renderJson(snap);
+    const std::string a = renderJson(observer);
+    const std::string b = renderJson(observer);
     EXPECT_EQ(a, b) << "rendering must be a pure function";
 
     JsonValue doc;
@@ -160,8 +165,9 @@ TEST(MetricsExporterJson, RendersDeterministicallyAndParsesBack)
     ASSERT_EQ(doc.at("tenants").size(), 2u);
     const JsonValue &t0 = doc.at("tenants").at(std::size_t{0});
     EXPECT_EQ(t0.at("hits").asU64(), 700u);
+    EXPECT_DOUBLE_EQ(t0.at("hit_ratio").asDouble(), 0.7);
     EXPECT_TRUE(t0.at("window").isObject())
-        << "per-tenant window stats ride along when a window is set";
+        << "per-tenant window stats ride along";
     EXPECT_EQ(doc.at("window").at("size").asU64(), 1u);
     EXPECT_EQ(doc.at("metrics")
                   .at("counters")
@@ -172,58 +178,63 @@ TEST(MetricsExporterJson, RendersDeterministicallyAndParsesBack)
 
 TEST(MetricsExporterJson, EmptySectionsAreOmitted)
 {
-    MetricsSnapshot snap;
-    snap.run = "fixture";
-    snap.round = 1;
+    // Before any hook fires, with the doctor off and the run not
+    // ended, there is no verdict, registry or history to render.
+    const ServeLiveObserver observer(twoTenants(), {});
 
     JsonValue doc;
-    ASSERT_TRUE(parseJson(renderJson(snap), doc).ok());
-    EXPECT_TRUE(doc.at("policy").isNull());
-    EXPECT_TRUE(doc.at("totals").isNull());
-    EXPECT_TRUE(doc.at("tenants").isNull());
-    EXPECT_TRUE(doc.at("window").isNull());
+    ASSERT_TRUE(parseJson(renderJson(observer), doc).ok());
     EXPECT_TRUE(doc.at("doctor").isNull());
     EXPECT_TRUE(doc.at("metrics").isNull());
-    // The telemetry drop counters always render.
-    EXPECT_TRUE(doc.at("telemetry").isObject());
+    EXPECT_TRUE(doc.at("history").isNull());
+    // Every snapshot has these.
+    for (const char *section :
+         {"policy", "totals", "tenants", "window", "telemetry"})
+        EXPECT_FALSE(doc.at(section).isNull()) << section;
 }
 
 TEST(MetricsExporterJson, DoctorSectionCarriesFindings)
 {
-    MetricsSnapshot snap;
-    snap.run = "serve/PriSM-H";
-    snap.doctorOverall = "WARN";
-    DoctorFindingLine f;
-    f.check = "drift.miss_rate";
-    f.status = "WARN";
-    f.value = 0.75;
-    f.threshold = 0.5;
-    f.hasValue = true;
-    f.detail = "max relative EWMA miss-rate drift 0.75 (tenant 0)";
-    snap.doctorFindings.push_back(f);
+    analysis::LiveObserverOptions options;
+    options.onlineDoctor = true;
+    ServeLiveObserver observer(twoTenants(), options);
+    // Tenant 0's miss rate triples between two intervals, a relative
+    // EWMA drift of 2 against the 0.5 bound.
+    const serve::ServeLiveState state = stateWith(nullptr);
+    observer.onIntervalClosed(sampleOf(1, {8, 5}, {2, 5}, {0.5, 0.5}),
+                              {}, state);
+    observer.onIntervalClosed(sampleOf(2, {4, 5}, {6, 5}, {0.5, 0.5}),
+                              {}, state);
 
     JsonValue doc;
-    ASSERT_TRUE(parseJson(renderJson(snap), doc).ok());
-    EXPECT_EQ(doc.at("doctor").at("overall").asString(), "WARN");
-    const JsonValue &line =
-        doc.at("doctor").at("findings").at(std::size_t{0});
-    EXPECT_EQ(line.at("check").asString(), "drift.miss_rate");
-    EXPECT_EQ(line.at("status").asString(), "WARN");
-    EXPECT_DOUBLE_EQ(line.at("value").asDouble(), 0.75);
+    ASSERT_TRUE(parseJson(renderJson(observer), doc).ok());
+    const analysis::Verdict verdict = observer.grade();
+    EXPECT_EQ(doc.at("doctor").at("overall").asString(),
+              analysis::findingStatusName(verdict.overall));
+    const JsonValue &findings = doc.at("doctor").at("findings");
+    ASSERT_EQ(findings.size(), verdict.findings.size());
+    bool found = false;
+    for (const JsonValue &line : findings.elements()) {
+        if (line.at("check").asString() != "drift.miss_rate")
+            continue;
+        found = true;
+        EXPECT_EQ(line.at("status").asString(), "WARN");
+        EXPECT_DOUBLE_EQ(line.at("value").asDouble(), 2.0);
+        EXPECT_DOUBLE_EQ(line.at("threshold").asDouble(), 0.5);
+    }
+    EXPECT_TRUE(found);
 }
 
-TEST(MetricsExporterProm, EscapesLabelsAndSanitisesNames)
+TEST(MetricsExporterProm, DerivesRunLabelAndSanitisesNames)
 {
-    MetricsRegistry reg;
-    reg.counter("serve/odd-name.gets").add(7);
+    auto reg = std::make_shared<MetricsRegistry>();
+    reg->counter("serve/odd-name.gets").add(7);
+    ServeLiveObserver observer(twoTenants('F'), {});
+    observer.onRoundEnd(stateWith(reg));
 
-    MetricsSnapshot snap;
-    snap.run = "run \"quoted\"\\slash\nnewline";
-    snap.metrics = &reg;
-
-    const std::string text = renderProm(snap);
-    EXPECT_NE(text.find("run=\"run \\\"quoted\\\"\\\\slash"
-                        "\\nnewline\""),
+    const std::string text = renderProm(observer);
+    EXPECT_NE(text.find("prism_info{source=\"serve\","
+                        "run=\"serve/PriSM-F\",policy=\"Fair\"} 1"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("prism_metric_serve_odd_name_gets 7"),
@@ -233,19 +244,17 @@ TEST(MetricsExporterProm, EscapesLabelsAndSanitisesNames)
 
 TEST(MetricsExporterProm, HistogramBucketsAreCumulative)
 {
-    MetricsRegistry reg;
+    auto reg = std::make_shared<MetricsRegistry>();
     const std::vector<double> bounds{1.0, 10.0, 100.0};
-    Histogram &h = reg.histogram("latency", bounds);
+    Histogram &h = reg->histogram("latency", bounds);
     h.observe(0.5);   // bucket 0
     h.observe(5.0);   // bucket 1
     h.observe(50.0);  // bucket 2
     h.observe(500.0); // overflow
+    ServeLiveObserver observer(twoTenants(), {});
+    observer.onRoundEnd(stateWith(reg));
 
-    MetricsSnapshot snap;
-    snap.run = "serve/PriSM-H";
-    snap.metrics = &reg;
-
-    const std::string text = renderProm(snap);
+    const std::string text = renderProm(observer);
     EXPECT_NE(text.find("prism_metric_latency_bucket{le=\"1\"} 1"),
               std::string::npos)
         << text;
@@ -270,21 +279,19 @@ TEST(MetricsExporterCadence, DueFollowsEveryOnTheRoundCounter)
     const std::filesystem::path dir = scratchDir("prism_exporter_cadence");
     const std::filesystem::path path = dir / "x.json";
 
-    analysis::ServeLiveObserver off = observerWith("", "", 4);
+    ServeLiveObserver off = observerWith("", "", 4);
     EXPECT_FALSE(writesAt(off, 4, path)) << "no outputs, never due";
     EXPECT_TRUE(off.flushFinal().ok());
     EXPECT_TRUE(std::filesystem::is_empty(dir));
 
-    analysis::ServeLiveObserver final_only =
-        observerWith(path.string(), "", 0);
+    ServeLiveObserver final_only = observerWith(path.string(), "", 0);
     EXPECT_FALSE(writesAt(final_only, 1, path));
     EXPECT_FALSE(writesAt(final_only, 100, path));
     ASSERT_TRUE(final_only.flushFinal().ok());
     EXPECT_TRUE(std::filesystem::exists(path))
         << "the final snapshot is written";
 
-    analysis::ServeLiveObserver every4 =
-        observerWith(path.string(), "", 4);
+    ServeLiveObserver every4 = observerWith(path.string(), "", 4);
     EXPECT_FALSE(writesAt(every4, 0, path));
     EXPECT_FALSE(writesAt(every4, 3, path));
     EXPECT_TRUE(writesAt(every4, 4, path));
@@ -300,8 +307,7 @@ TEST(MetricsExporterFlush, WritesBothFilesAtomically)
     const std::string json_path = (dir / "m.json").string();
     const std::string prom_path = (dir / "m.prom").string();
 
-    analysis::ServeLiveObserver observer =
-        observerWith(json_path, prom_path, 2);
+    ServeLiveObserver observer = observerWith(json_path, prom_path, 2);
     serve::ServeLiveState state;
     state.rounds = 2;
     observer.onRoundEnd(state);
@@ -319,7 +325,7 @@ TEST(MetricsExporterFlush, WritesBothFilesAtomically)
 
 TEST(MetricsExporterFlush, UnwritablePathReportsAnError)
 {
-    analysis::ServeLiveObserver observer =
+    ServeLiveObserver observer =
         observerWith("/nonexistent-dir/sub/m.json", "", 0);
     EXPECT_FALSE(observer.flushFinal().ok());
 }

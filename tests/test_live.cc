@@ -7,11 +7,12 @@
  * snapshot's own text (the acceptance criterion of
  * docs/OBSERVABILITY.md, "Live metrics & online doctor"); only the
  * final snapshot carries the whole run's
- * rows as "history"; the committed METRICS_fixture.json golden pins
- * the prism-metrics-v1 format; and a raised stop flag ends the run
- * at the next round boundary with the final snapshot still written.
+ * rows as "history"; the committed METRICS_fixture.json and
+ * METRICS_fixture.prom goldens pin the prism-metrics-v1 format and
+ * its Prometheus text; and a raised stop flag ends the run at the
+ * next round boundary with the final snapshot still written.
  *
- * Regenerate the golden after an intentional format change:
+ * Regenerate the goldens after an intentional format change:
  *   PRISM_UPDATE_GOLDEN=1 build/tests/test_live \
  *       --gtest_filter=MetricsGolden.*
  */
@@ -31,7 +32,6 @@
 #include "analysis/series.hh"
 #include "common/json.hh"
 #include "serve/serve_engine.hh"
-#include "telemetry/exporter.hh"
 
 using namespace prism;
 using namespace prism::analysis;
@@ -74,6 +74,7 @@ struct LiveRun
 {
     ServeResult result;
     std::string snapshotJson;
+    std::string snapshotProm;
     std::string verdictJson;
 };
 
@@ -81,8 +82,16 @@ std::string
 renderSnapshot(const ServeLiveObserver &observer)
 {
     std::ostringstream os;
-    telemetry::writeJson(os, observer.snapshot());
+    observer.writeJson(os);
     os << "\n"; // the observer's file writes end in a newline
+    return os.str();
+}
+
+std::string
+renderProm(const ServeLiveObserver &observer)
+{
+    std::ostringstream os;
+    observer.writePrometheus(os);
     return os.str();
 }
 
@@ -106,6 +115,7 @@ runLive(ServeConfig config, std::uint32_t threads,
     LiveRun out;
     out.result = engine.run();
     out.snapshotJson = renderSnapshot(observer);
+    out.snapshotProm = renderProm(observer);
     out.verdictJson = renderVerdict(observer.grade());
     return out;
 }
@@ -190,18 +200,16 @@ runTapped(LiveObserverOptions live)
 
 /**
  * Re-grade a snapshot exactly the way `prism_doctor FILE` does:
- * parse, lift a RunSeries out of prism-metrics-v1, run analyze()
- * with the same thresholds.
+ * parse, lift a RunSeries out of prism-metrics-v1, run analyze().
  */
 std::string
-offlineVerdict(const std::string &snapshotJson,
-               const DoctorThresholds &thresholds)
+offlineVerdict(const std::string &snapshotJson)
 {
     JsonValue doc;
     RunSeries series;
     EXPECT_TRUE(parseJson(snapshotJson, doc).ok());
     EXPECT_TRUE(seriesFromMetricsJson(doc, series).ok());
-    return renderVerdict(analyze(series, thresholds));
+    return renderVerdict(analyze(series));
 }
 
 /** A verdict as one line per finding: check, status, value,
@@ -276,8 +284,7 @@ class EveryRoundTap final : public ServeObserver
             mismatched.push_back(state.rounds);
             return;
         }
-        if (embeddedVerdict(doc) !=
-            flatVerdict(analyze(series, DoctorThresholds{})))
+        if (embeddedVerdict(doc) != flatVerdict(analyze(series)))
             mismatched.push_back(state.rounds);
     }
 
@@ -306,6 +313,7 @@ TEST(LivePlane, SnapshotIsByteIdenticalAcrossThreadCounts)
     EXPECT_GT(t1.snapshotJson.size(), 0u);
     EXPECT_EQ(t1.snapshotJson, t2.snapshotJson);
     EXPECT_EQ(t1.snapshotJson, t8.snapshotJson);
+    EXPECT_EQ(t1.snapshotProm, t8.snapshotProm);
 }
 
 TEST(LivePlane, OnlineVerdictIsByteIdenticalAcrossThreadCounts)
@@ -423,7 +431,7 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
 
     ASSERT_FALSE(run.verdictJson.empty());
     EXPECT_EQ(run.verdictJson,
-              offlineVerdict(run.snapshotJson, DoctorThresholds{}))
+              offlineVerdict(run.snapshotJson))
         << "the embedded online verdict must equal the offline "
            "re-analysis of the same snapshot";
 
@@ -433,9 +441,8 @@ TEST(LivePlane, OnlineVerdictMatchesOfflineAnalyzeOnTheSnapshot)
     const TappedRun tapped = runTapped(live);
     ASSERT_FALSE(tapped.periodicVerdictJson.empty());
     EXPECT_EQ(tapped.periodicVerdictJson,
-              offlineVerdict(tapped.periodicJson, DoctorThresholds{}));
-    EXPECT_EQ(tapped.finalVerdictJson,
-              offlineVerdict(tapped.finalJson, DoctorThresholds{}));
+              offlineVerdict(tapped.periodicJson));
+    EXPECT_EQ(tapped.finalVerdictJson, offlineVerdict(tapped.finalJson));
 }
 
 TEST(LivePlane, EveryRoundEndSnapshotEmbedsTheVerdictOnItsOwnText)
@@ -464,8 +471,7 @@ TEST(LivePlane, EveryRoundEndSnapshotEmbedsTheVerdictOnItsOwnText)
     RunSeries series;
     ASSERT_TRUE(parseJson(renderSnapshot(observer), final_doc).ok());
     ASSERT_TRUE(seriesFromMetricsJson(final_doc, series).ok());
-    EXPECT_EQ(embeddedVerdict(final_doc),
-              flatVerdict(analyze(series, DoctorThresholds{})));
+    EXPECT_EQ(embeddedVerdict(final_doc), flatVerdict(analyze(series)));
     EXPECT_EQ(embeddedVerdict(final_doc), flatVerdict(observer.grade()))
         << "grade() is the verdict the final snapshot embeds";
 }
@@ -492,19 +498,23 @@ TEST(LivePlane, RaisedStopFlagEndsTheRunWithSnapshotIntact)
 #define PRISM_METRICS_GOLDEN_DEFAULT \
     "tests/golden/METRICS_fixture.json"
 #endif
+#ifndef PRISM_METRICS_PROM_GOLDEN_DEFAULT
+#define PRISM_METRICS_PROM_GOLDEN_DEFAULT \
+    "tests/golden/METRICS_fixture.prom"
+#endif
 
-TEST(MetricsGolden, MatchesCommittedFixture)
+namespace
 {
-    const char *path_env = std::getenv("PRISM_METRICS_GOLDEN");
-    const std::string path =
-        path_env ? path_env : PRISM_METRICS_GOLDEN_DEFAULT;
 
-    const LiveRun live = runLive(fixtureConfig(), 2);
-
+/** Compare @p text with the golden at @p path, or rewrite the
+ *  golden under PRISM_UPDATE_GOLDEN. */
+void
+expectGolden(const std::string &text, const std::string &path)
+{
     if (std::getenv("PRISM_UPDATE_GOLDEN")) {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out) << "cannot write " << path;
-        out << live.snapshotJson;
+        out << text;
         GTEST_SKIP() << "regenerated " << path;
     }
 
@@ -513,7 +523,22 @@ TEST(MetricsGolden, MatchesCommittedFixture)
                     << " (regenerate with PRISM_UPDATE_GOLDEN=1)";
     std::ostringstream golden;
     golden << in.rdbuf();
-    EXPECT_EQ(live.snapshotJson, golden.str())
+    EXPECT_EQ(text, golden.str())
         << "prism-metrics-v1 format drifted; if intentional "
            "regenerate with PRISM_UPDATE_GOLDEN=1";
+}
+
+} // namespace
+
+TEST(MetricsGolden, MatchesCommittedFixture)
+{
+    const char *path_env = std::getenv("PRISM_METRICS_GOLDEN");
+    expectGolden(runLive(fixtureConfig(), 2).snapshotJson,
+                 path_env ? path_env : PRISM_METRICS_GOLDEN_DEFAULT);
+}
+
+TEST(MetricsGolden, PrometheusTextMatchesCommittedFixture)
+{
+    expectGolden(runLive(fixtureConfig(), 2).snapshotProm,
+                 PRISM_METRICS_PROM_GOLDEN_DEFAULT);
 }

@@ -24,6 +24,7 @@
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -496,7 +497,9 @@ TEST(DoctorExec, FlagsQuarantinedJobsInTheTraceAsInBenchJson)
     // The trace's exec process carries the retries and quarantines
     // the BENCH document's manifest does: both FAIL, and both name
     // the quarantined jobs. Neither records checkpoint writes, so
-    // both skip the checkpoint findings.
+    // both skip the checkpoint findings. Only the BENCH document
+    // counts skipped jobs (a sweep stopped by a signal writes no
+    // trace), so the trace skips exec.skipped.
     const std::string dir = scratchDir("doctor_trace");
     const std::string trace = dir + "/trace.json";
     const RunOutcome bench = run(
@@ -504,9 +507,13 @@ TEST(DoctorExec, FlagsQuarantinedJobsInTheTraceAsInBenchJson)
                                       "--trace " + trace));
     EXPECT_EQ(bench.exitCode(), 1) << bench.out;
 
-    for (const std::string &input :
-         {trace, dir + "/BENCH_fixture.json"}) {
+    for (const auto &[input, skipped] :
+         {std::pair<std::string, std::string>{
+              trace, "[SKIP] exec.skipped --"},
+          {dir + "/BENCH_fixture.json", "[PASS] exec.skipped = 0"}}) {
         const RunOutcome doc = run(doctorBin(), input);
+        EXPECT_NE(doc.out.find(skipped), std::string::npos)
+            << input << ": " << doc.out;
         EXPECT_EQ(doc.exitCode(), 1)
             << input << ": quarantined jobs must FAIL the doctor: "
             << doc.out;

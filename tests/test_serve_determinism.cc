@@ -34,7 +34,6 @@
 
 #include "analysis/online_doctor.hh"
 #include "serve/serve_engine.hh"
-#include "telemetry/exporter.hh"
 
 using namespace prism;
 using namespace prism::serve;
@@ -107,7 +106,7 @@ runServe(ServeConfig config, std::uint32_t threads)
     ServeRun out;
     out.result = ServeEngine(config).run();
     std::ostringstream os;
-    telemetry::writeJson(os, observer.snapshot());
+    observer.writeJson(os);
     out.json = os.str();
     for (std::size_t i = 0; i < observer.history().size(); ++i)
         out.history.push_back(observer.history().sample(i));

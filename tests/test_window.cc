@@ -43,7 +43,7 @@ sampleOf(std::uint64_t interval, std::vector<std::uint64_t> hits,
 
 TEST(SlidingWindow, EmptyWindowHasNeutralStats)
 {
-    const SlidingWindow win(2);
+    const SlidingWindow win(2, 64);
     EXPECT_EQ(win.rows().size(), 0u);
     EXPECT_EQ(win.rows().recorded(), 0u);
 
@@ -58,7 +58,7 @@ TEST(SlidingWindow, EmptyWindowHasNeutralStats)
 
 TEST(SlidingWindow, RetainsRowsOldestFirst)
 {
-    SlidingWindow win(1, {.capacity = 4});
+    SlidingWindow win(1, 4);
     for (std::uint64_t i = 1; i <= 3; ++i)
         win.push(sampleOf(i, {10 * i}, {i}));
     ASSERT_EQ(win.rows().size(), 3u);
@@ -71,7 +71,7 @@ TEST(SlidingWindow, RetainsRowsOldestFirst)
 
 TEST(SlidingWindow, RingWrapDropsOldestRows)
 {
-    SlidingWindow win(1, {.capacity = 3});
+    SlidingWindow win(1, 3);
     for (std::uint64_t i = 1; i <= 5; ++i)
         win.push(sampleOf(i, {i}, {0}));
     ASSERT_EQ(win.rows().size(), 3u);
@@ -84,7 +84,7 @@ TEST(SlidingWindow, MissingTenantEntriesReadZero)
 {
     // Two tenants, but the sample carries one entry per series and
     // no eviction row: tenant 1 must read as zero.
-    SlidingWindow win(2);
+    SlidingWindow win(2, 64);
     win.push(sampleOf(1, {7}, {3}, {1.0}, {0.5}, {0.5}));
     EXPECT_EQ(win.stats(0).hits, 7u);
     EXPECT_EQ(win.stats(0).evictions, 0u);
@@ -102,7 +102,7 @@ TEST(SlidingWindow, MissingTenantEntriesReadZero)
 
 TEST(SlidingWindow, AggregateRatesFollowTheSlowdownModel)
 {
-    SlidingWindow win(1, {.capacity = 8, .missPenalty = 25.0});
+    SlidingWindow win(1, 8);
     win.push(sampleOf(1, {75}, {25}, {}, {}, {}, {4}));
     win.push(sampleOf(2, {25}, {75}, {}, {}, {}, {6}));
 
@@ -119,7 +119,7 @@ TEST(SlidingWindow, AggregateRatesFollowTheSlowdownModel)
 
 TEST(SlidingWindow, QuantilesAreExactWithInterpolation)
 {
-    SlidingWindow win(1, {.capacity = 8});
+    SlidingWindow win(1, 8);
     // Per-interval hit ratios 0.0, 0.25, 0.5, 0.75, 1.0.
     win.push(sampleOf(1, {0}, {4}));
     win.push(sampleOf(2, {1}, {3}));
@@ -137,7 +137,7 @@ TEST(SlidingWindow, QuantilesAreExactWithInterpolation)
 
 TEST(SlidingWindow, ChurnIsMeanAbsoluteEvProbStep)
 {
-    SlidingWindow win(1, {.capacity = 8});
+    SlidingWindow win(1, 8);
     win.push(sampleOf(1, {1}, {1}, {0.2}));
     win.push(sampleOf(2, {1}, {1}, {0.6}));
     win.push(sampleOf(3, {1}, {1}, {0.5}));
@@ -148,7 +148,7 @@ TEST(SlidingWindow, ChurnIsMeanAbsoluteEvProbStep)
 
 TEST(SlidingWindow, EwmaSeedsOnFirstPushWithZeroDrift)
 {
-    SlidingWindow win(1, {.capacity = 4, .ewmaAlpha = 0.25});
+    SlidingWindow win(1, 4);
     win.push(sampleOf(1, {6}, {4})); // miss rate 0.4
     const TenantWindowStats s = win.stats(0);
     EXPECT_DOUBLE_EQ(s.ewmaMissRate, 0.4);
@@ -159,8 +159,7 @@ TEST(SlidingWindow, EwmaSeedsOnFirstPushWithZeroDrift)
 
 TEST(SlidingWindow, EwmaRecurrenceAndRelativeDrift)
 {
-    SlidingWindow win(1, {.capacity = 4, .ewmaAlpha = 0.25,
-                          .missPenalty = 25.0});
+    SlidingWindow win(1, 4);
     win.push(sampleOf(1, {8}, {2})); // miss rate 0.2
     win.push(sampleOf(2, {4}, {6})); // miss rate 0.6
 
@@ -178,7 +177,7 @@ TEST(SlidingWindow, MissRateDriftDenominatorIsFloored)
 {
     // A near-zero EWMA must not turn a small absolute step into a
     // huge relative drift: the denominator floors at 0.05.
-    SlidingWindow win(1, {.capacity = 4, .ewmaAlpha = 0.25});
+    SlidingWindow win(1, 4);
     win.push(sampleOf(1, {100}, {0})); // miss rate 0.0
     win.push(sampleOf(2, {99}, {1}));  // miss rate 0.01
     const TenantWindowStats s = win.stats(0);
@@ -188,22 +187,22 @@ TEST(SlidingWindow, MissRateDriftDenominatorIsFloored)
 TEST(SlidingWindow, EwmaSurvivesRingWrap)
 {
     // Capacity 1 retains a single row, but drift tracks the whole
-    // pushed stream.
-    SlidingWindow win(1, {.capacity = 1, .ewmaAlpha = 0.5});
+    // pushed stream (alpha = kEwmaAlpha = 0.25).
+    SlidingWindow win(1, 1);
     win.push(sampleOf(1, {8}, {2})); // 0.2 -> ewma 0.2
-    win.push(sampleOf(2, {6}, {4})); // 0.4 -> ewma 0.3
-    win.push(sampleOf(3, {4}, {6})); // 0.6 vs ewma 0.3
+    win.push(sampleOf(2, {6}, {4})); // 0.4 -> ewma 0.25
+    win.push(sampleOf(3, {4}, {6})); // 0.6 vs ewma 0.25
 
     ASSERT_EQ(win.rows().size(), 1u);
     EXPECT_EQ(win.rows().sample(0).interval, 3u);
     const TenantWindowStats s = win.stats(0);
-    EXPECT_DOUBLE_EQ(s.missRateDrift, (0.6 - 0.3) / 0.3);
-    EXPECT_DOUBLE_EQ(s.ewmaMissRate, 0.5 * 0.6 + 0.5 * 0.3);
+    EXPECT_DOUBLE_EQ(s.missRateDrift, (0.6 - 0.25) / 0.25);
+    EXPECT_DOUBLE_EQ(s.ewmaMissRate, 0.25 * 0.6 + 0.75 * 0.25);
 }
 
 TEST(SlidingWindow, ZeroCapacityIsClampedToOne)
 {
-    SlidingWindow win(1, {.capacity = 0});
+    SlidingWindow win(1, 0);
     EXPECT_EQ(win.rows().capacity(), 1u);
     win.push(sampleOf(1, {1}, {1}));
     win.push(sampleOf(2, {1}, {1}));

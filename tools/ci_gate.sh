@@ -41,11 +41,13 @@ echo "== sanitizer gate =="
 # the fault-injection suite (injected occupancy faults push counters
 # to the edge of their range), the serve units, the serve engine's
 # determinism runs (the stream-major request indices and the tail
-# records the plan reads) and the simulator's step loop (the core
+# records the plan reads), the simulator's step loop (the core
 # scheduler's winner tree, each core's look-ahead access and the
-# prefetch addresses computed from it), halting on the first
-# undefined-behaviour report. Each tree builds only what it runs;
-# they sit next to the main build directory.
+# prefetch addresses computed from it) and the live plane (the
+# observer's snapshot renderers and their render, parse and grade
+# round trip), halting on the first undefined-behaviour report. Each
+# tree builds only what it runs; they sit next to the main build
+# directory.
 tsan_build="$build-tsan"
 # shellcheck disable=SC2086
 cmake -B "$tsan_build" -S "$repo" -DPRISM_TSAN=ON ${CMAKE_ARGS:-}
@@ -56,9 +58,10 @@ asan_build="$build-asan"
 cmake -B "$asan_build" -S "$repo" -DPRISM_SANITIZE=ON ${CMAKE_ARGS:-}
 cmake --build "$asan_build" -j --target test_fault_injection test_serve \
     test_serve_determinism test_system_integration \
-    test_step_loop_golden test_clock_tree
+    test_step_loop_golden test_clock_tree test_live test_exporter
 for t in test_fault_injection test_serve test_serve_determinism \
-    test_system_integration test_step_loop_golden test_clock_tree; do
+    test_system_integration test_step_loop_golden test_clock_tree \
+    test_live test_exporter; do
     UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/$t"
 done
 

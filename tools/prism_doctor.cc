@@ -281,7 +281,6 @@ main(int argc, char **argv)
 
     std::string source;
     std::vector<Verdict> jobs;
-    const DoctorThresholds thresholds;
 
     if (opt.compare) {
         if (positional.size() != 2)
@@ -296,7 +295,7 @@ main(int argc, char **argv)
         if (!opt.file.empty() || !positional.empty())
             cliError("--run cannot combine with file inputs");
         source = "run";
-        jobs.push_back(analyze(runAndRecord(opt.run), thresholds));
+        jobs.push_back(analyze(runAndRecord(opt.run)));
     } else {
         if (opt.file.empty()) {
             if (positional.size() != 1) {
@@ -324,7 +323,7 @@ main(int argc, char **argv)
                 RunSeries s;
                 st = seriesFromStatsJson(doc, s);
                 if (st.ok())
-                    jobs.push_back(analyze(s, thresholds));
+                    jobs.push_back(analyze(s));
                 break;
               }
               case InputKind::Metrics: {
@@ -332,7 +331,7 @@ main(int argc, char **argv)
                 RunSeries s;
                 st = seriesFromMetricsJson(doc, s);
                 if (st.ok())
-                    jobs.push_back(analyze(s, thresholds));
+                    jobs.push_back(analyze(s));
                 break;
               }
               case InputKind::Trace: {
@@ -340,7 +339,7 @@ main(int argc, char **argv)
                 std::vector<RunSeries> runs;
                 st = seriesFromTraceJson(doc, runs);
                 for (const RunSeries &s : runs)
-                    jobs.push_back(analyze(s, thresholds));
+                    jobs.push_back(analyze(s));
                 // A supervised sweep's trace records its failed jobs
                 // and retries in the exec process; grade them as the
                 // BENCH path does.
@@ -371,7 +370,7 @@ main(int argc, char **argv)
                     st = seriesFromBenchJob(job, s);
                     if (!st.ok())
                         break;
-                    jobs.push_back(analyze(s, thresholds));
+                    jobs.push_back(analyze(s));
                 }
                 // Supervised sweeps with retries/quarantines also
                 // carry an exec manifest; diagnose it too.
@@ -401,12 +400,11 @@ main(int argc, char **argv)
 
     if (!opt.json_path.empty()) {
         if (opt.json_path == "-") {
-            writeDoctorDocument(std::cout, source, jobs, thresholds);
+            writeDoctorDocument(std::cout, source, jobs);
         } else {
             const Status st = writeFileAtomic(
                 opt.json_path, [&](std::ostream &out) {
-                    writeDoctorDocument(out, source, jobs,
-                                        thresholds);
+                    writeDoctorDocument(out, source, jobs);
                 });
             if (!st.ok()) {
                 std::cerr << "prism_doctor: cannot write "
