@@ -494,9 +494,15 @@ Checker::serve()
     if (!s_.serve)
         return;
     const std::size_t tenants = s_.serveHitRatio.size();
+    // A tenant that issued no gets has no hit ratio (its snapshot
+    // row reads 0): both hit-ratio findings leave it out.
+    const auto hasGets = [this](std::size_t t) {
+        return s_.serveGets[t] > 0;
+    };
 
     // Per-tenant hit-ratio SLO attainment: the worst margin over
     // every tenant that declares a floor decides the finding.
+    bool any_floor = false;
     bool any_slo = false;
     double worst_margin = 0.0;
     std::size_t worst_tenant = 0;
@@ -506,6 +512,9 @@ Checker::serve()
         const double floor = s_.serveSloFloor[t];
         if (floor <= 0.0)
             continue;
+        any_floor = true;
+        if (!hasGets(t))
+            continue;
         const double margin = s_.serveHitRatio[t] - floor;
         if (!any_slo || margin < worst_margin) {
             worst_margin = margin;
@@ -513,9 +522,12 @@ Checker::serve()
         }
         any_slo = true;
     }
-    if (!any_slo) {
+    if (!any_floor) {
         skip("serve.slo_attainment",
              "no tenant declares a hit-ratio SLO floor");
+    } else if (!any_slo) {
+        skip("serve.slo_attainment",
+             "no tenant with a hit-ratio SLO floor issued a get");
     } else {
         const FindingStatus st = worst_margin < -kServeSloSlack
                                      ? FindingStatus::Fail
@@ -535,15 +547,23 @@ Checker::serve()
     // the max/min ratio across tenants is the serving analogue of
     // the paper's fairness metric (1 = perfectly even service
     // degradation).
+    std::size_t with_gets = 0;
+    for (std::size_t t = 0; t < tenants; ++t)
+        with_gets += hasGets(t);
     if (tenants < 2) {
         skip("serve.fair_slowdown",
              "fewer than two tenants to compare");
+    } else if (with_gets < 2) {
+        skip("serve.fair_slowdown",
+             "fewer than two tenants issued a get");
     } else {
         double mn = 0.0, mx = 0.0;
         bool first = true;
-        for (const double hit_ratio : s_.serveHitRatio) {
+        for (std::size_t t = 0; t < tenants; ++t) {
+            if (!hasGets(t))
+                continue;
             const double slowdown =
-                telemetry::fairSlowdown(1.0 - hit_ratio);
+                telemetry::fairSlowdown(1.0 - s_.serveHitRatio[t]);
             mn = first ? slowdown : std::min(mn, slowdown);
             mx = first ? slowdown : std::max(mx, slowdown);
             first = false;

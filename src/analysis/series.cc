@@ -368,6 +368,8 @@ seriesFromMetricsJson(const JsonValue &doc, RunSeries &out)
     for (const JsonValue &tenant : doc.at("tenants").elements()) {
         out.serveHitRatio.push_back(
             tenant.at("hit_ratio").asDouble());
+        out.serveGets.push_back(tenant.at("hits").asU64() +
+                                tenant.at("misses").asU64());
         out.serveSloFloor.push_back(tenant.at("slo_hit").asDouble());
         if (const JsonValue *window = tenant.find("window")) {
             out.hasDrift = true;

@@ -82,6 +82,9 @@ struct RunSeries
      *  the serve.* checks apply. */
     bool serve = false;
     std::vector<double> serveHitRatio; ///< per tenant, whole run
+    /** Per tenant, whole run: gets issued (hits + misses). A tenant
+     *  with none has no hit ratio to grade. */
+    std::vector<std::uint64_t> serveGets;
     std::vector<double> serveSloFloor; ///< hit-ratio SLO; 0 = none
     /** Per-interval per-tenant evictions, parallel to evProb rows. */
     std::vector<std::vector<double>> serveEvictions;

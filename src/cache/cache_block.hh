@@ -9,7 +9,11 @@
  * so the hot lookup walks 8-byte tags (and 1-byte signatures) back to
  * back instead of striding over 24-byte per-block structs — a 16-way
  * tag scan touches 2 cache lines instead of 6, a 64-way scan 8
- * instead of 24. Policies and schemes keep field-access syntax
+ * instead of 24. Owners are stored as one byte (noOwner for a frame
+ * no core holds), so the victim walk reads a 64-way set's owners from
+ * one cache line instead of four; CoreId stays the type every
+ * interface takes and returns, and a cache holds at most maxCores
+ * cores. Policies and schemes keep field-access syntax
  * (`set.blocks[w].owner`) through the BlockRef proxy.
  *
  * Replacement-policy state lives in two places: an explicit per-set
@@ -50,6 +54,12 @@ enum : std::uint8_t
 /** Tag value of a never-filled frame (no valid block ever has it). */
 inline constexpr Addr invalidTag = ~Addr{0};
 
+/** Owner byte of a frame no core holds. */
+inline constexpr std::uint8_t noOwner = 0xFF;
+
+/** Most cores a cache can tag: every real owner byte is below noOwner. */
+inline constexpr std::uint32_t maxCores = noOwner;
+
 /**
  * Metadata for one cache block as a plain struct (the data payload
  * is not modelled). Not used by SharedCache itself — the hot path
@@ -70,12 +80,13 @@ struct CacheBlock
 /**
  * Mutable view of one block's fields inside a BlockArrays. Field
  * names and value semantics match CacheBlock, so policy code reads
- * identically over either layout; valid/dirty are 0/1 bytes.
+ * identically over either layout; valid/dirty are 0/1 bytes, and the
+ * owner is a byte that reads noOwner where CacheBlock has invalidCore.
  */
 struct BlockRef
 {
     Addr &tag;
-    CoreId &owner;
+    std::uint8_t &owner; ///< owning core, noOwner if none
     std::uint8_t &valid;
     std::uint8_t &dirty;
     std::uint8_t &timestamp;
@@ -87,7 +98,7 @@ struct BlockRef
 struct BlockArrays
 {
     std::vector<Addr> tag;
-    std::vector<CoreId> owner;
+    std::vector<std::uint8_t> owner; ///< one byte per frame
     std::vector<std::uint8_t> valid;
     std::vector<std::uint8_t> dirty;
     std::vector<std::uint8_t> timestamp;
@@ -108,7 +119,7 @@ struct BlockArrays
     resize(std::size_t n)
     {
         tag.assign(n, invalidTag);
-        owner.assign(n, invalidCore);
+        owner.assign(n, noOwner);
         valid.assign(n, 0);
         dirty.assign(n, 0);
         timestamp.assign(n, 0);
@@ -133,7 +144,7 @@ struct BlockArrays
 struct SetBlocks
 {
     Addr *tag = nullptr;
-    CoreId *owner = nullptr;
+    std::uint8_t *owner = nullptr;
     std::uint8_t *valid = nullptr;
     std::uint8_t *dirty = nullptr;
     std::uint8_t *timestamp = nullptr;

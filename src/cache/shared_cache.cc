@@ -59,6 +59,8 @@ SharedCache::SharedCache(const CacheConfig &config)
               config.shadowSampling)
 {
     fatalIf(config_.numCores == 0, "SharedCache: zero cores");
+    fatalIf(config_.numCores > maxCores,
+            "SharedCache: more than 255 cores (owners are one byte)");
     fatalIf(config_.ways == 0, "SharedCache: zero ways");
     fatalIf(config_.ways > OrderList::maxWays,
             "SharedCache: associativity above OrderList::maxWays");
@@ -184,7 +186,7 @@ SharedCache::access(CoreId core, Addr addr, bool is_store)
             else
                 repl_->onHit(set, hit_way);
         }
-        return AccessResult{true, false, invalidCore};
+        return AccessResult{true, false, false, invalidCore};
     }
 
     // Miss.
@@ -192,7 +194,7 @@ SharedCache::access(CoreId core, Addr addr, bool is_store)
     ++total_misses_;
     ++misses_this_interval_;
 
-    AccessResult result{false, false, invalidCore};
+    AccessResult result{false, false, false, invalidCore};
     SetView set = setView(set_idx);
 
     // Prefer an invalid way; otherwise the scheme names the victim.
@@ -210,13 +212,14 @@ SharedCache::access(CoreId core, Addr addr, bool is_store)
 
         const std::size_t bv =
             base + static_cast<std::size_t>(victim_way);
+        const CoreId victim_owner = blocks_.owner[bv];
         result.evicted = true;
-        result.evictedOwner = blocks_.owner[bv];
+        result.evictedOwner = victim_owner;
         if (blocks_.dirty[bv]) {
             result.writeback = true;
             ++writebacks_;
         }
-        --occ_delta_[blocks_.owner[bv]].v;
+        --occ_delta_[victim_owner].v;
         // No recency::remove here: every fill path below that
         // maintains the order list re-inserts the way through a
         // remove-first helper (moveToFront / insertAtLruOffset), and
@@ -232,7 +235,7 @@ SharedCache::access(CoreId core, Addr addr, bool is_store)
     const std::size_t bf = base + static_cast<std::size_t>(victim_way);
     blocks_.tag[bf] = addr;
     sig_[bf] = sig;
-    blocks_.owner[bf] = core;
+    blocks_.owner[bf] = static_cast<std::uint8_t>(core);
     blocks_.valid[bf] = 1;
     blocks_.dirty[bf] = static_cast<std::uint8_t>(is_store);
     blocks_.region[bf] = regionManaged;

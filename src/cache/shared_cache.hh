@@ -17,7 +17,10 @@
  * Hot-path layout: block metadata lives in per-field arrays
  * (BlockArrays) plus an 8-bit tag-signature array, so a lookup scans
  * one byte per way (SWAR, 8 ways per load) and touches full 8-byte
- * tags only on signature matches. Per-core occupancy is bookkept as
+ * tags only on signature matches. Owners are one byte per frame, so
+ * a victim walk over a 64-way set reads one host cache line of them;
+ * a cache therefore holds at most maxCores (255) cores, which the
+ * constructor enforces. Per-core occupancy is bookkept as
  * per-interval deltas in cache-line-private counters and folded into
  * the audited occupancy array once per interval — the per-access
  * read-modify-write of a shared counter array (a false-sharing
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache_block.hh"
@@ -77,16 +81,26 @@ struct CacheConfig
     }
 };
 
-/** Hit/miss outcome of one cache access. */
+/**
+ * Hit/miss outcome of one cache access. The three flags come first
+ * so the struct packs into 8 bytes and access() returns it in one
+ * register: a larger result is built on the stack with narrow stores
+ * and reloaded before the return, a reload the store buffer cannot
+ * forward, and every access then waits for the fill's stores.
+ */
 struct AccessResult
 {
     bool hit = false;
     /** Valid only on a miss that replaced a block. */
     bool evicted = false;
-    CoreId evictedOwner = invalidCore;
     /** The evicted block was dirty and must be written back. */
     bool writeback = false;
+    CoreId evictedOwner = invalidCore;
 };
+
+// AccessResult must fit one return register (see above).
+static_assert(sizeof(AccessResult) == 8);
+static_assert(std::is_trivially_copyable_v<AccessResult>);
 
 /** Aggregate per-core counters since construction. */
 struct CoreCacheTotals
@@ -184,8 +198,11 @@ class SharedCache
     /**
      * Hint only: start loading the host cache lines a later
      * access(core, @p addr) reads in @p addr's set — the tag
-     * signatures, the recency list, the fill count, the owners the
-     * victim walk reads and the valid and dirty bytes. A simulator
+     * signatures, the recency list, the fill count, the one-byte
+     * owners the victim walk reads (one 64-byte line for a 64-way
+     * set) and the valid and dirty bytes. The full tags and the
+     * region bytes are left out: a lookup reads a tag only on a
+     * signature match, and a fill only stores to both. A simulator
      * that knows its next accesses early issues this well ahead, so
      * the set's metadata has arrived when the access runs. Changes
      * no state.
@@ -200,8 +217,7 @@ class SharedCache
         prefetchLines(sig_.data() + base, ways);
         prefetchLines(&sets_[set], sizeof(SetState));
         __builtin_prefetch(&set_filled_[set]);
-        prefetchLines(blocks_.owner.data() + base,
-                      ways * sizeof(CoreId));
+        prefetchLines(blocks_.owner.data() + base, ways);
         prefetchLines(blocks_.valid.data() + base, ways);
         prefetchLines(blocks_.dirty.data() + base, ways);
     }

@@ -27,7 +27,10 @@
  * generator is built on (stack_dist_generator.hh). Tabulation keeps
  * std::pow off the per-access path; the piecewise-linear lookup is
  * the exact code the generator always used, so draw streams are
- * byte-identical to the pre-extraction ones.
+ * byte-identical to the pre-extraction ones. The table is immutable,
+ * so PowerLawTable::shared() hands every stream with the same theta
+ * one copy: a 32-core job's generators then read at most as many
+ * 32 KB tables as there are distinct exponents, instead of one each.
  */
 
 #ifndef PRISM_COMMON_ZIPF_HH
@@ -36,6 +39,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/prism_assert.hh"
@@ -160,6 +164,14 @@ class PowerLawTable
             inv_cdf_[i] = std::pow(
                 static_cast<double>(i) / tableSize, inv_theta);
     }
+
+    /**
+     * The table for @p theta, shared with every other caller that
+     * holds one for the same theta (bit-equal exponents). A registry
+     * keeps only weak references, so a table is freed with its last
+     * holder and the next request builds it again. Thread-safe.
+     */
+    static std::shared_ptr<const PowerLawTable> shared(double theta);
 
     /** Fraction in [0, 1] for uniform draw @p u. */
     double

@@ -35,7 +35,7 @@ PrismScheme::chooseVictim(SharedCache &cache, CoreId core, const SetView &set)
     }
 
     const CoreId victim_core = controller_.sampleVictim();
-    const CoreId *owner = set.blocks.owner;
+    const std::uint8_t *owner = set.blocks.owner;
     const double *e = controller_.evictionProbs().data();
 
     if (cache.repl().victimOrderIsRecency()) {

@@ -100,6 +100,12 @@ struct MachineConfig
 
         if (numCores == 0)
             errors.push_back("numCores must be at least 1");
+        if (numCores > maxCores)
+            errors.push_back("numCores (" + std::to_string(numCores) +
+                             ") must be at most " +
+                             std::to_string(maxCores) +
+                             " (the LLC tags each block's owner in "
+                             "one byte)");
         if (llcWays == 0)
             errors.push_back("llcWays must be at least 1");
         if (!isPow2(blockBytes))

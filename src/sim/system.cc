@@ -64,6 +64,7 @@ System::System(const MachineConfig &config, const Workload &workload,
             L1Cache(config_.l1Bytes, config_.l1Ways,
                     config_.blockBytes),
             Rng(config_.seed * 31 + c * 17 + 5),
+            1.0 / profile->memRatio,
         };
         cores_.push_back(std::move(core));
         drawNext(cores_.back());
@@ -76,7 +77,7 @@ System::step(CoreId id)
     Core &c = cores_[id];
 
     // Instructions until (and including) the next memory access.
-    c.instr_carry += 1.0 / c.profile->memRatio;
+    c.instr_carry += c.instr_per_access;
     std::uint64_t k = static_cast<std::uint64_t>(c.instr_carry);
     c.instr_carry -= static_cast<double>(k);
     if (k == 0)

@@ -134,6 +134,8 @@ class System
         std::unique_ptr<AccessGenerator> gen;
         L1Cache l1;
         Rng store_rng; ///< classifies accesses as loads/stores
+        /** 1 / profile->memRatio: instructions per memory access. */
+        double instr_per_access;
         /** The core's next access, drawn one step ahead. */
         Addr next_addr = 0;
         bool next_store = false;

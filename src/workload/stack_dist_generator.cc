@@ -10,7 +10,8 @@ StackDistGenerator::StackDistGenerator(std::uint32_t stream_id,
                                        std::uint64_t seed)
     : stream_id_(stream_id), params_(params), rng_(seed),
       stack_(seed ^ 0xC0FFEEULL),
-      dist_cdf_(params.theta > 0.0 ? params.theta : 1.0)
+      dist_cdf_(PowerLawTable::shared(params.theta > 0.0 ? params.theta
+                                                          : 1.0))
 {
     fatalIf(params_.workingSetBlocks == 0,
             "StackDistGenerator: empty working set");
@@ -75,7 +76,7 @@ StackDistGenerator::next()
         // inverse CDF; block rank r is touched with the same
         // probability mass as stack distance r in the exact model.
         const double scaled =
-            dist_cdf_.fraction(u) *
+            dist_cdf_->fraction(u) *
             static_cast<double>(params_.workingSetBlocks);
         std::uint64_t r = static_cast<std::uint64_t>(scaled);
         if (r >= params_.workingSetBlocks)
@@ -84,7 +85,7 @@ StackDistGenerator::next()
     }
 
     const double scaled =
-        dist_cdf_.fraction(u) * static_cast<double>(stack_.size());
+        dist_cdf_->fraction(u) * static_cast<double>(stack_.size());
     std::size_t d = static_cast<std::size_t>(scaled);
     if (d >= stack_.size())
         d = stack_.size() - 1;

@@ -26,6 +26,7 @@
 #define PRISM_WORKLOAD_STACK_DIST_GENERATOR_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "common/zipf.hh"
 #include "workload/generator.hh"
@@ -110,8 +111,9 @@ class StackDistGenerator : public AccessGenerator
     std::uint64_t cold_block_ = 0;
     std::uint64_t loop_pos_ = 0;
     /** Inverse CDF of u^(1/theta): the shared skewed-stream law
-     *  (common/zipf.hh), byte-identical to the old private table. */
-    PowerLawTable dist_cdf_;
+     *  (common/zipf.hh), one immutable table per theta shared by
+     *  every generator that uses it. */
+    std::shared_ptr<const PowerLawTable> dist_cdf_;
 };
 
 } // namespace prism

@@ -259,6 +259,16 @@ TEST(Cli, InvalidConfigurationFails)
         "--mix 403.gcc,186.crafty --instr 1000 --warmup 50000");
     EXPECT_EQ(code, 2);
     EXPECT_NE(out.find("warmupInstr"), std::string::npos);
+
+    // One program per core, and a block's owner is one byte.
+    std::string mix = "403.gcc";
+    for (int i = 1; i < 256; ++i)
+        mix += ",403.gcc";
+    const auto [code2, out2] =
+        run("--mix " + mix + " --instr 1000 --warmup 100");
+    EXPECT_EQ(code2, 2) << out2;
+    EXPECT_NE(out2.find("at most 255"), std::string::npos) << out2;
+    EXPECT_EQ(out2.find("ANTT"), std::string::npos) << out2;
 }
 
 TEST(Cli, CheckedFaultRunReportsRobustness)

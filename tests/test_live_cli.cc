@@ -17,6 +17,8 @@
 #include <sstream>
 #include <string>
 
+#include "common/json.hh"
+
 namespace
 {
 
@@ -226,6 +228,43 @@ TEST(LiveCli, ServeDoctorEqualsDoctorOnTheFinalSnapshot)
     EXPECT_NE(doctor_out.find("across 9 intervals"),
               std::string::npos)
         << "the doctor grades the whole run: " << doctor_out;
+    run("rm -rf " + dir);
+}
+
+TEST(LiveCli, WriteOnlyTenantPassesTheServeDoctor)
+{
+    // Tenant 0 only puts, so its snapshot row reads hit ratio 0
+    // over 0 gets: the SLO and fair-slowdown findings leave it out
+    // instead of failing the run on a ratio it never had.
+    const std::string dir = tempDir();
+    const std::string snap = dir + "/write_only.json";
+    const auto [serve_code, serve_out] =
+        run(serveBin() + " --tenant keys=20000,get=0 " +
+            "--tenant keys=20000 --capacity-mb 1 --ops 200000 " +
+            "--no-timing --doctor --metrics-out " + snap);
+    EXPECT_EQ(serve_code, 0) << serve_out;
+
+    prism::JsonValue doc;
+    ASSERT_TRUE(prism::parseJson(slurp(snap), doc).ok());
+    const prism::JsonValue &writer = doc.at("tenants").elements().at(0);
+    EXPECT_EQ(writer.at("hits").asU64() + writer.at("misses").asU64(),
+              0u);
+    EXPECT_EQ(writer.at("hit_ratio").asDouble(), 0.0);
+
+    const auto finding = [&serve_out](const std::string &name) {
+        const std::size_t at = serve_out.find("] " + name);
+        return at == std::string::npos
+                   ? std::string()
+                   : serve_out.substr(at - 5, 6);
+    };
+    EXPECT_EQ(finding("serve.slo_attainment"), "[PASS]") << serve_out;
+    EXPECT_EQ(finding("serve.fair_slowdown"), "[SKIP]") << serve_out;
+    EXPECT_NE(serve_out.find("fewer than two tenants issued a get"),
+              std::string::npos)
+        << serve_out;
+
+    const auto [doctor_code, doctor_out] = run(doctorBin() + " " + snap);
+    EXPECT_EQ(doctor_code, 0) << doctor_out;
     run("rm -rf " + dir);
 }
 

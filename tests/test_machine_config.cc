@@ -50,6 +50,15 @@ TEST(MachineConfigValidate, ZeroCores)
     EXPECT_TRUE(mentions(m.validate(), "numCores"));
 }
 
+TEST(MachineConfigValidate, CoreCountLimitedByOwnerBytes)
+{
+    MachineConfig m = MachineConfig::forCores(32);
+    m.numCores = 256;
+    EXPECT_TRUE(mentions(m.validate(), "at most 255"));
+    m.numCores = 255;
+    EXPECT_TRUE(m.validate().empty());
+}
+
 TEST(MachineConfigValidate, ZeroWays)
 {
     MachineConfig m;

@@ -182,3 +182,29 @@ TEST(SharedCache, RejectsBadGeometry)
     bad.ways = 3; // 1024 blocks not divisible into power-of-two sets
     EXPECT_DEATH(SharedCache{bad}, "");
 }
+
+TEST(SharedCache, RejectsMoreCoresThanOwnerBytesHold)
+{
+    CacheConfig cfg = smallConfig();
+    cfg.numCores = maxCores + 1;
+    EXPECT_DEATH(SharedCache{cfg}, "more than 255 cores");
+}
+
+TEST(SharedCache, TracksTheHighestOwnerByte)
+{
+    // Core 254 is the largest owner a byte holds next to noOwner.
+    CacheConfig cfg = smallConfig();
+    cfg.numCores = maxCores;
+    SharedCache c(cfg);
+    const CoreId top = maxCores - 1;
+    for (std::uint64_t t = 0; t < cfg.ways; ++t)
+        EXPECT_FALSE(c.access(top, addrFor(5, t, c.numSets())).hit);
+    EXPECT_EQ(c.occupancy(top), cfg.ways);
+    EXPECT_EQ(c.countInSet(5, top), cfg.ways);
+
+    const AccessResult r = c.access(0, addrFor(5, 99, c.numSets()));
+    EXPECT_TRUE(r.evicted);
+    EXPECT_EQ(r.evictedOwner, top);
+    EXPECT_EQ(c.occupancy(top), cfg.ways - 1);
+    EXPECT_EQ(c.occupancy(0), 1u);
+}

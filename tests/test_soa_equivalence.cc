@@ -69,11 +69,11 @@ class RefCache
             if (b.valid && b.tag == addr) {
                 b.dirty |= is_store;
                 onHit(set, static_cast<int>(w));
-                return AccessResult{true, false, invalidCore};
+                return AccessResult{true, false, false, invalidCore};
             }
         }
 
-        AccessResult result{false, false, invalidCore};
+        AccessResult result{false, false, false, invalidCore};
         int way = invalidWay;
         for (std::uint32_t w = 0; w < cfg_.ways; ++w)
             if (!blocks_[base + w].valid) {

@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,6 +114,83 @@ TEST(PowerLawTable, StackDistStreamUnchangedByExtraction)
     StackDistGenerator a(0, params, 4242), b(0, params, 4242);
     for (int i = 0; i < 20000; ++i)
         ASSERT_EQ(a.next(), b.next());
+}
+
+// The registry tests use exponents no other test in this binary
+// holds, so each table's lifetime is the test's own.
+
+TEST(PowerLawTableShared, EqualThetaSharesOneTable)
+{
+    const auto a = PowerLawTable::shared(0.6180339);
+    const auto b = PowerLawTable::shared(0.6180339);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_EQ(a.use_count(), 2);
+
+    const auto other = PowerLawTable::shared(0.6180340);
+    EXPECT_NE(other.get(), a.get());
+}
+
+TEST(PowerLawTableShared, ReleasedWithItsLastHolder)
+{
+    auto holder = PowerLawTable::shared(0.4142136);
+    const std::weak_ptr<const PowerLawTable> seen = holder;
+    auto second = holder;
+    holder.reset();
+    EXPECT_FALSE(seen.expired());
+    second.reset();
+    EXPECT_TRUE(seen.expired());
+
+    // The next request builds a fresh table with the same values.
+    const auto rebuilt = PowerLawTable::shared(0.4142136);
+    EXPECT_EQ(rebuilt.use_count(), 1);
+    EXPECT_EQ(rebuilt->fraction(0.5),
+              PowerLawTable(0.4142136).fraction(0.5));
+}
+
+TEST(PowerLawTableShared, MatchesAPrivateTableBitForBit)
+{
+    for (const double theta : {0.2718281, 0.7071067, 1.7320508}) {
+        const auto shared = PowerLawTable::shared(theta);
+        const PowerLawTable own(theta);
+        for (int i = 0; i <= 1 << 16; ++i) {
+            const double u = static_cast<double>(i) / (1 << 16);
+            const double x = shared->fraction(u);
+            const double y = own.fraction(u);
+            ASSERT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
+                << "theta " << theta << " u " << u;
+        }
+    }
+}
+
+TEST(PowerLawTableShared, GeneratorsWithOneThetaHoldOneTable)
+{
+    StackDistParams params;
+    params.workingSetBlocks = 1 << 10;
+    params.theta = 0.5772156;
+    const auto table = PowerLawTable::shared(params.theta);
+    {
+        StackDistGenerator a(0, params, 1), b(1, params, 2);
+        EXPECT_EQ(table.use_count(), 3);
+    }
+    EXPECT_EQ(table.use_count(), 1);
+}
+
+TEST(PowerLawTableShared, ConcurrentRequestsGetOneTable)
+{
+    const auto held = PowerLawTable::shared(0.3010299);
+    std::vector<const PowerLawTable *> got(4, nullptr);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back([&got, t] {
+            for (int i = 0; i < 200; ++i) {
+                const auto mine = PowerLawTable::shared(0.3010299);
+                got[t] = mine.get();
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (const PowerLawTable *p : got)
+        EXPECT_EQ(p, held.get());
 }
 
 } // namespace

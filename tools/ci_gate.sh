@@ -35,33 +35,38 @@ echo "== test =="
 (cd "$build" && ctest --output-on-failure ${CTEST_ARGS:-})
 
 echo "== sanitizer gate =="
-# ThreadSanitizer over the serving plane: the serve runs in these
-# suites reach the per-shard parallel eviction stage at up to 8
-# threads, after the sequential victim plan. Then ASan + UBSan over
-# the fault-injection suite (injected occupancy faults push counters
-# to the edge of their range), the serve units, the serve engine's
-# determinism runs (the stream-major request indices and the tail
-# records the plan reads), the simulator's step loop (the core
-# scheduler's winner tree, each core's look-ahead access and the
-# prefetch addresses computed from it) and the live plane (the
-# observer's snapshot renderers and their render, parse and grade
-# round trip), halting on the first undefined-behaviour report. Each
-# tree builds only what it runs; they sit next to the main build
-# directory.
+# ThreadSanitizer over the serving plane and the sweep engine: the
+# serve runs in these suites reach the per-shard parallel eviction
+# stage at up to 8 threads, after the sequential victim plan, and the
+# sweep determinism runs build jobs' generators concurrently, which
+# share the stand-alone memo and the power-law table registry. Then
+# ASan + UBSan over the fault-injection suite (injected occupancy
+# faults push counters to the edge of their range), the serve units,
+# the serve engine's determinism runs (the stream-major request
+# indices and the tail records the plan reads), the simulator's step
+# loop (the core scheduler's winner tree, each core's look-ahead
+# access and the prefetch addresses computed from it), the cache's
+# one-byte block owners (the shared-cache units and the SoA
+# reference-model cross-check) and the live plane (the observer's
+# snapshot renderers and their render, parse and grade round trip),
+# halting on the first undefined-behaviour report. Each tree builds
+# only what it runs; they sit next to the main build directory.
 tsan_build="$build-tsan"
 # shellcheck disable=SC2086
 cmake -B "$tsan_build" -S "$repo" -DPRISM_TSAN=ON ${CMAKE_ARGS:-}
-cmake --build "$tsan_build" -j --target test_serve test_serve_determinism
-(cd "$tsan_build" && ctest -L tsan -R serve --output-on-failure)
+cmake --build "$tsan_build" -j --target test_serve test_serve_determinism \
+    test_sweep_determinism
+(cd "$tsan_build" && ctest -L tsan -R 'serve|sweep' --output-on-failure)
 asan_build="$build-asan"
 # shellcheck disable=SC2086
 cmake -B "$asan_build" -S "$repo" -DPRISM_SANITIZE=ON ${CMAKE_ARGS:-}
 cmake --build "$asan_build" -j --target test_fault_injection test_serve \
     test_serve_determinism test_system_integration \
-    test_step_loop_golden test_clock_tree test_live test_exporter
+    test_step_loop_golden test_clock_tree test_live test_exporter \
+    test_soa_equivalence test_shared_cache
 for t in test_fault_injection test_serve test_serve_determinism \
     test_system_integration test_step_loop_golden test_clock_tree \
-    test_live test_exporter; do
+    test_live test_exporter test_soa_equivalence test_shared_cache; do
     UBSAN_OPTIONS=halt_on_error=1 "$asan_build/tests/$t"
 done
 
